@@ -32,8 +32,14 @@ from .rng import mix
 
 
 def _load(path: str) -> HedgeGraph:
-    with open(path, "r", encoding="ascii") as handle:
-        return parse(handle.read())
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(line, f"non-ASCII byte 0x{data[exc.start]:02x}") from None
+    return parse(text)
 
 
 def _default_seed() -> int:
@@ -98,6 +104,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_connectivity(args: argparse.Namespace) -> int:
+    if args.trials is not None and args.trials < 0:
+        raise GraphError("--trials must be nonnegative")
     g = _load(args.file)
     seed = args.seed if args.seed is not None else _default_seed()
     cert = hedge_connectivity(g, method=args.method, cap=args.cap,
@@ -142,6 +150,8 @@ def _theorem_selection(value: str) -> list[TheoremId]:
 def _cmd_audit(args: argparse.Namespace) -> int:
     if (args.file is None) == (not args.random):
         raise GraphError("audit needs exactly one of: an instance file, or --random")
+    if args.random and args.trials < 1:
+        raise GraphError("--trials must be at least 1 with --random")
     ids = _theorem_selection(args.theorem)
     broken_universal = False
 

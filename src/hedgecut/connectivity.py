@@ -7,25 +7,31 @@ label-degree vertex always form a cut, capping the search depth) or,
 when every label has exactly one edge, from a deterministic global
 min-cut.  Larger label sets fall back to seeded randomized hedge
 contraction, which yields an upper bound with a valid certificate.
+
+Enumeration, certificate checks and contraction trials share one flat
+representation, built once per graph: for every label, a spanning forest
+of its non-loop edges as ``(u, v)`` pairs over the original vertices.
+Which vertices a set of hedges connects depends only on these forests,
+so each subset test is one union-find pass over the kept forests, and a
+contraction trial is a union-find over the original vertices; no
+``HedgeGraph`` is rebuilt inside either loop.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Collection, Iterable
 
-from .contraction import contract_hedge
 from .graph import (
     GraphError,
     HedgeGraph,
-    _components_of,
     _vertex_label_sets,
-    hedge_view,
     is_connected,
-    remove_hedges,
-    with_identity_origin,
 )
 from .rng import Rng, mix
+
+Forests = list[list[tuple[int, int]]]  # label id -> spanning-forest edges of its hedge
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,29 +55,106 @@ class CutCertificate:
 
 
 def validate_certificate(g: HedgeGraph, cert: CutCertificate) -> bool:
-    """Re-check a certificate against the graph it claims to cut."""
+    """Re-check a certificate against the graph it claims to cut.
+
+    The sides must be a proper bipartition and no edge outside the cut
+    labels may join them, which also proves the removal disconnects.
+    """
     if not cert.side_a or not cert.side_b or (cert.side_a & cert.side_b):
         return False
     if cert.side_a | cert.side_b != frozenset(range(g.n)):
         return False
     if not all(0 <= lab < g.num_labels for lab in cert.labels):
         return False
-    h = remove_hedges(g, cert.labels)
-    if is_connected(h):
-        return False
-    return not any((u in cert.side_a) != (v in cert.side_a) for u, v, _ in h.edges)
+    side_a = cert.side_a
+    return not any((u in side_a) != (v in side_a)
+                   for u, v, lab in g.edges if lab not in cert.labels)
 
 
-def _bipartition_after_removal(g: HedgeGraph, labels: frozenset[int]) -> tuple[frozenset[int], frozenset[int]]:
+def _forest(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """A spanning forest of the given (u, v) pairs; loops are skipped.
+
+    Its length is the rank of the pairs: the merges they cause.
+    """
+    parent: dict[int, int] = {}
+    kept = []
+    for u, v in pairs:
+        a, b = u, v
+        while a in parent:
+            a = parent[a]
+        while b in parent:
+            b = parent[b]
+        if a != b:
+            parent[a] = b
+            kept.append((u, v))
+    return kept
+
+
+def _hedge_forests(g: HedgeGraph) -> Forests:
+    """Each label's spanning forest over the original vertices.
+
+    A forest joins exactly the vertices its hedge joins, and one of its
+    edges crosses a vertex split whenever any edge of the hedge does.
+    """
+    pairs: list[list[tuple[int, int]]] = [[] for _ in range(g.num_labels)]
+    for u, v, lab in g.edges:
+        pairs[lab].append((u, v))
+    return [_forest(p) for p in pairs]
+
+
+def _join(n: int, forests: Forests, removed: Collection[int],
+          order: Iterable[int] | None = None) -> tuple[list[int], int, int]:
+    """Union-find over the forests of the labels not removed.
+
+    Returns (parents, class count, bit mask of the labels whose edges
+    merged classes).  Stops as soon as one class is left; the merging
+    labels then span the graph.  ``order`` is the label visiting order.
+    """
+    parent = list(range(n))
+    parts = n
+    used = 0
+    for lab in range(len(forests)) if order is None else order:
+        if lab in removed:
+            continue
+        for u, v in forests[lab]:
+            while parent[u] != u:
+                u = parent[u]
+            while parent[v] != v:
+                v = parent[v]
+            if u != v:
+                parent[u] = v
+                used |= 1 << lab
+                parts -= 1
+                if parts == 1:
+                    return parent, parts, used
+    return parent, parts, used
+
+
+def _bipartition_after_removal(n: int, forests: Forests,
+                               labels: Collection[int]) -> tuple[frozenset[int], frozenset[int]]:
     """Split the leftover components into (component of vertex 0, the rest)."""
-    h = remove_hedges(g, labels)
-    comps = _components_of(h.n, range(h.n), ((u, v) for u, v, _ in h.edges if u != v))
-    return comps[0], frozenset().union(*comps[1:])
+    parent, _, _ = _join(n, forests, labels)
+
+    def root(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    r0 = root(0)
+    side_a = frozenset(v for v in range(n) if root(v) == r0)
+    return side_a, frozenset(range(n)) - side_a
+
+
+def _certificate(g: HedgeGraph, labels: frozenset[int], method: str, exact: bool,
+                 forests: Forests | None = None) -> CutCertificate:
+    if forests is None:
+        forests = _hedge_forests(g)
+    side_a, side_b = _bipartition_after_removal(g.n, forests, labels)
+    return CutCertificate(labels, side_a, side_b, method, exact)
 
 
 def _disconnected_certificate(g: HedgeGraph, method: str) -> CutCertificate:
-    side_a, side_b = _bipartition_after_removal(g, frozenset())
-    return CutCertificate(frozenset(), side_a, side_b, method, True)
+    return _certificate(g, frozenset(), method, True)
 
 
 def min_label_degree_bound(g: HedgeGraph) -> int:
@@ -87,9 +170,7 @@ def _degree_bound_certificate(g: HedgeGraph) -> CutCertificate:
     # removing every label at a minimum-degree vertex isolates it
     degrees = [len(s) for s in _vertex_label_sets(g)]
     v = degrees.index(min(degrees))
-    labels = frozenset(_vertex_label_sets(g)[v])
-    side_a, side_b = _bipartition_after_removal(g, labels)
-    return CutCertificate(labels, side_a, side_b, "fastpath", False)
+    return _certificate(g, frozenset(_vertex_label_sets(g)[v]), "fastpath", False)
 
 
 def brute_force_connectivity(g: HedgeGraph, cap: int = 20) -> CutCertificate:
@@ -99,6 +180,11 @@ def brute_force_connectivity(g: HedgeGraph, cap: int = 20) -> CutCertificate:
     their sorted label ids, so the reported minimum cut is the
     lexicographically least one.  Enumeration never needs subsets larger
     than the minimum label degree.
+
+    A subset is tested by one union-find pass over the forests of the
+    labels it keeps, largest forests first.  When the kept labels connect
+    the graph, the labels whose edges did the merging hold a spanning
+    tree, and a later subset that avoids all of them is skipped untested.
     """
     if g.n < 2:
         raise GraphError("connectivity is undefined for a single vertex")
@@ -107,12 +193,22 @@ def brute_force_connectivity(g: HedgeGraph, cap: int = 20) -> CutCertificate:
     if g.num_labels > cap:
         raise GraphError(f"label count {g.num_labels} exceeds the enumeration cap {cap}")
     bound = min_label_degree_bound(g)
+    forests = _hedge_forests(g)
+    big_first = sorted(range(g.num_labels), key=lambda lab: -len(forests[lab]))
+    spanning: list[int] = []  # label masks of spanning trees found, newest first
     for k in range(1, bound + 1):
         for combo in itertools.combinations(range(g.num_labels), k):
-            labels = frozenset(combo)
-            if not is_connected(remove_hedges(g, labels)):
-                side_a, side_b = _bipartition_after_removal(g, labels)
-                return CutCertificate(labels, side_a, side_b, "brute", True)
+            mask = 0
+            for lab in combo:
+                mask |= 1 << lab
+            for tree in spanning:
+                if not tree & mask:
+                    break  # this spanning tree survives the removal
+            else:
+                _, parts, used = _join(g.n, forests, combo, big_first)
+                if parts > 1:
+                    return _certificate(g, frozenset(combo), "brute", True, forests)
+                spanning.insert(0, used)
     raise AssertionError("no cut found within the degree bound")
 
 
@@ -167,31 +263,69 @@ def ordinary_edge_min_cut(g: HedgeGraph) -> CutCertificate:
     return CutCertificate(labels, side, frozenset(range(g.n)) - side, "fastpath", True)
 
 
+def _contraction_trial(n: int, forests: Forests, seed: int) -> CutCertificate:
+    """One contraction trial on the flat forests of a connected graph.
+
+    ``cls[v]`` is the class (super-vertex) of original vertex ``v``, named
+    by one of its members.  ``live`` maps each label not yet contracted
+    to a forest whose endpoints ``cls`` maps to the current classes.
+    Contraction only turns such edges into loops or closes cycles, so the
+    stored length bounds the label's rank from above; the forest is
+    rebuilt over the current classes, giving the exact rank, only when
+    that bound does not already prove the label safe.
+    """
+    rng = Rng(seed)
+    cls = list(range(n))
+    members = [[v] for v in range(n)]
+    count = n
+    live = dict(enumerate(forests))  # ascending label id, the order of the safe list
+    while count > 2:
+        safe = []
+        for lab, pairs in live.items():
+            if count - len(pairs) < 2:
+                pairs = live[lab] = _forest((cls[u], cls[v]) for u, v in pairs)
+            if count - len(pairs) >= 2:
+                safe.append(lab)
+        if not safe:
+            break
+        for u, v in live.pop(safe[rng.below(len(safe))]):
+            a, b = cls[u], cls[v]
+            if a == b:
+                continue
+            if len(members[a]) < len(members[b]):
+                a, b = b, a
+            for x in members[b]:
+                cls[x] = a
+            members[a] += members[b]
+            count -= 1
+    labels = frozenset(lab for lab, pairs in live.items()
+                       if any(cls[u] != cls[v] for u, v in pairs))
+    side_a = frozenset(members[cls[0]])
+    return CutCertificate(labels, side_a, frozenset(range(n)) - side_a, "randomized", False)
+
+
 def randomized_contraction_cut(g: HedgeGraph, seed: int) -> CutCertificate:
     """One seeded contraction trial; returns a valid but unproven cut.
 
-    Repeatedly contracts a uniformly random safe hedge (one leaving at
-    least 2 vertices) until two vertices remain or every surviving hedge
-    would collapse the graph to a point.  The labels still crossing the
-    final vertex groups form the candidate cut.
+    Repeatedly contracts a uniformly random safe hedge until two vertices
+    remain or no hedge is safe.  With ``count`` the current vertex count
+    and a hedge's rank the number of merges its edges would cause now, a
+    hedge is safe when ``count - rank >= 2``; safe hedges are listed in
+    label id order and the pick is ``safe[rng.below(len(safe))]``.  A
+    contracted hedge is retired.  A hedge whose edges have all become
+    loops is not retired: it stays a rank-0 pick that merges nothing, as
+    dropping it would change the draw sequence.  The labels still
+    crossing the final vertex groups form the candidate cut; side_a is
+    the group of vertex 0.
+
+    Each step costs O(m) on the per-label forests, where rebuilding the
+    contracted graph and viewing every hedge cost O(|L| * m).
     """
     if g.n < 2:
         raise GraphError("connectivity is undefined for a single vertex")
     if not is_connected(g):
         raise GraphError("contraction trials require a connected graph")
-    rng = Rng(seed)
-    current = with_identity_origin(g)
-    while current.n > 2:
-        safe = [lab for lab in range(current.num_labels)
-                if current.n - hedge_view(current, lab).rank >= 2]
-        if not safe:
-            break
-        current = contract_hedge(current, safe[rng.below(len(safe))])
-    crossing = sorted({lab for u, v, lab in current.edges if u != v})
-    labels = frozenset(g.label_id(current.labels[lab]) for lab in crossing)
-    side_a = current.origin_map[0]
-    side_b = frozenset().union(*current.origin_map[1:])
-    return CutCertificate(labels, side_a, side_b, "randomized", False)
+    return _contraction_trial(g.n, _hedge_forests(g), seed)
 
 
 def default_trial_count(num_labels: int) -> int:
@@ -216,9 +350,10 @@ def randomized_connectivity(g: HedgeGraph, trials: int | None = None,
         trials = default_trial_count(g.num_labels)
     if trials < 0:
         raise GraphError("trial count must be nonnegative")
+    forests = _hedge_forests(g)
     best: CutCertificate | None = None
     for t in range(trials):
-        cert = randomized_contraction_cut(g, mix(base_seed, t))
+        cert = _contraction_trial(g.n, forests, mix(base_seed, t))
         if best is None or cert.size < best.size:
             best = cert
             if best.size == 1:
@@ -250,15 +385,12 @@ def hedge_connectivity(g: HedgeGraph, method: str = "auto", cap: int = 20,
     if not is_connected(g):
         return _disconnected_certificate(g, "fastpath")
     if g.num_labels == 1:
-        side_a, side_b = _bipartition_after_removal(g, frozenset({0}))
-        return CutCertificate(frozenset({0}), side_a, side_b, "fastpath", True)
+        return _certificate(g, frozenset({0}), "fastpath", True)
     degrees = [len(s) for s in _vertex_label_sets(g)]
     if min(degrees) == 1:
         # all edges at such a vertex carry one label; removing it isolates the vertex
         v = degrees.index(1)
-        labels = frozenset(_vertex_label_sets(g)[v])
-        side_a, side_b = _bipartition_after_removal(g, labels)
-        return CutCertificate(labels, side_a, side_b, "fastpath", True)
+        return _certificate(g, frozenset(_vertex_label_sets(g)[v]), "fastpath", True)
     if g.num_labels == g.m:
         return ordinary_edge_min_cut(g)
     if g.num_labels <= cap:

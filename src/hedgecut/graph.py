@@ -150,11 +150,6 @@ def identity_origin(n: int) -> tuple[frozenset[int], ...]:
     return tuple(frozenset((v,)) for v in range(n))
 
 
-def with_identity_origin(g: HedgeGraph) -> HedgeGraph:
-    """Re-root ``g`` so its own vertices count as the original ones."""
-    return HedgeGraph(g.n, g.edges, g.labels, identity_origin(g.n))
-
-
 def build_graph(n: int, edge_list: Sequence[tuple[int, int, str]]) -> HedgeGraph:
     """Build and validate a simple hedge graph from (u, v, label) triples.
 

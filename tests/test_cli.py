@@ -75,6 +75,20 @@ class TestConnectivity:
                           "--trials", "4", env_extra={"HEDGECUT_SEED": "7"})
         assert explicit.stdout == via_env.stdout
 
+    @pytest.mark.parametrize("extra", [(), ("--cap", "1"), ("--method", "brute"),
+                                       ("--method", "random")])
+    def test_negative_trials_rejected(self, extra):
+        # rejected before dispatch, whichever method would have run
+        result = run_cli("connectivity", C4ALT, "--trials", "-1", *extra)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "--trials" in result.stderr
+
+    def test_zero_trials_accepted(self):
+        result = run_cli("connectivity", C4ALT, "--method", "random", "--trials", "0")
+        assert result.returncode == 0
+        assert result.stdout.startswith("lambda_h=2\n")
+
 
 class TestContract:
     def test_exact_output(self):
@@ -144,6 +158,13 @@ class TestAudit:
         args = ("audit", "--random", "--theorem", "all", "--trials", "2",
                 "--seed", "9", "--params", "n=2..4,extra=0..1,L=1..2")
         assert run_cli(*args).stdout == run_cli(*args).stdout
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_random_mode_needs_a_trial(self, trials):
+        result = run_cli("audit", "--random", "--theorem", "all", "--trials", trials)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "--trials" in result.stderr
 
     def test_file_and_random_exclusive(self):
         both = run_cli("audit", C4ALT, "--random", "--theorem", "all")
@@ -224,6 +245,14 @@ class TestErrorHandling:
         result = run_cli("stats", str(bad))
         assert result.returncode == 2
         assert "line 2" in result.stderr
+
+    def test_non_ascii_file(self, tmp_path):
+        bad = tmp_path / "accent.hg"
+        bad.write_bytes("HG1 2 1\n0 1 caf\u00e9\n".encode("utf-8"))
+        for command in (("stats",), ("connectivity",), ("audit", "--theorem", "all")):
+            result = run_cli(command[0], str(bad), *command[1:])
+            assert result.returncode == 2
+            assert result.stderr == "error: line 2: non-ASCII byte 0xc3\n"
 
     def test_unknown_flag(self):
         assert run_cli("stats", C4ALT, "--bogus").returncode == 2

@@ -1,0 +1,54 @@
+"""Connectivity checked against an independent vertex-bipartition oracle.
+
+A hedge cut separates some vertex bipartition, and every bipartition is
+separated by removing the labels of its crossing edges.  So the hedge
+connectivity is the minimum, over all 2^(n-1) - 1 bipartitions, of the
+number of labels with an edge crossing it.  The oracle below computes
+that from the raw edge list with bit masks and shares no code with the
+package's connectivity kernel.
+"""
+
+import pytest
+
+from hedgecut import (
+    GeneratorParams,
+    brute_force_connectivity,
+    random_instance,
+    randomized_connectivity,
+    randomized_contraction_cut,
+    validate_certificate,
+)
+
+
+def bipartition_oracle(n, edges):
+    """Least number of labels crossing a bipartition with vertex 0 on side A."""
+    best = None
+    for side_b in range(1, 1 << (n - 1)):
+        side_b <<= 1  # vertex 0 stays on side A
+        crossing = {lab for u, v, lab in edges if (side_b >> u & 1) != (side_b >> v & 1)}
+        if best is None or len(crossing) < best:
+            best = len(crossing)
+    return best
+
+
+# (n range, extra edges, labels): sparse trees, denser graphs, many labels
+FAMILIES = [((2, 6), (0, 3), (1, 4)), ((6, 10), (4, 14), (2, 6)), ((5, 10), (2, 10), (5, 12))]
+
+
+@pytest.mark.parametrize("family", range(len(FAMILIES)))
+def test_enumeration_matches_oracle(family):
+    n_range, extra, labels = FAMILIES[family]
+    for seed in range(40):
+        g = random_instance(GeneratorParams(n_range, extra, labels, seed=1000 * family + seed))
+        assert g.n <= 10
+        lam = bipartition_oracle(g.n, g.edges)
+        cert = brute_force_connectivity(g, cap=g.num_labels)
+        assert cert.size == lam, (family, seed)
+        assert validate_certificate(g, cert)
+        for t in range(3):
+            trial = randomized_contraction_cut(g, seed * 7 + t)
+            assert trial.size >= lam
+            assert validate_certificate(g, trial)
+        best = randomized_connectivity(g, trials=6, base_seed=seed)
+        assert best.size >= lam
+        assert validate_certificate(g, best)

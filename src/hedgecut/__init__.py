@@ -10,11 +10,8 @@ and hand-built instances.
 from .adjacency import (
     HedgeAdjacencyGraph,
     Relabeling,
-    adjacency_degree,
     adjacency_graph,
-    component_adjacency_matrix,
     greedy_relabel,
-    hedges_adjacent,
     max_adjacency_degree,
 )
 from .audit import (
@@ -58,7 +55,6 @@ from .graph import (
     build_graph,
     degree_summary,
     graph_rank_nullity,
-    hedge_degree_summary,
     hedge_view,
     is_connected,
     label_degree,
@@ -86,13 +82,11 @@ __all__ = [
     "SearchResult",
     "TheoremId",
     "UNIVERSAL_IDS",
-    "adjacency_degree",
     "adjacency_graph",
     "audit_theorem",
     "brute_force_connectivity",
     "build_graph",
     "cleanup",
-    "component_adjacency_matrix",
     "contract_edge",
     "contract_hedge",
     "contraction_sequence",
@@ -103,9 +97,7 @@ __all__ = [
     "graph_rank_nullity",
     "greedy_relabel",
     "hedge_connectivity",
-    "hedge_degree_summary",
     "hedge_view",
-    "hedges_adjacent",
     "instance_digest",
     "is_connected",
     "label_degree",

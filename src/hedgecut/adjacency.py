@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph import GraphError, HedgeGraph, LabelRef, _vertex_label_sets, hedge_view
+from .graph import GraphError, HedgeGraph, _vertex_label_sets
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,32 +38,6 @@ class Relabeling:
     num_colors: int
 
 
-def hedges_adjacent(g: HedgeGraph, r: LabelRef, t: LabelRef) -> bool:
-    """True iff the two hedges share at least one vertex."""
-    rid, tid = g.label_id(r), g.label_id(t)
-    if rid == tid:
-        raise GraphError("adjacency is defined between two distinct hedges")
-    return bool(hedge_view(g, rid).vertex_set & hedge_view(g, tid).vertex_set)
-
-
-def component_adjacency_matrix(g: HedgeGraph, r: LabelRef, t: LabelRef) -> list[list[bool]]:
-    """Component-wise intersection matrix of two hedges.
-
-    The matrix is square of order S = the maximum span over all hedges
-    of the graph; entry (i, j) says whether the i-th component of the
-    first hedge meets the j-th component of the second (components in
-    ascending minimum-vertex order, missing indices padded with False).
-    """
-    rid, tid = g.label_id(r), g.label_id(t)
-    if rid == tid:
-        raise GraphError("adjacency is defined between two distinct hedges")
-    size = max(hedge_view(g, lab).span for lab in range(g.num_labels))
-    rows = hedge_view(g, rid).components
-    cols = hedge_view(g, tid).components
-    return [[i < len(rows) and j < len(cols) and bool(rows[i] & cols[j])
-             for j in range(size)] for i in range(size)]
-
-
 def adjacency_graph(g: HedgeGraph) -> HedgeAdjacencyGraph:
     """Build the hedge adjacency graph from per-vertex incident label sets."""
     neighbors: list[set[int]] = [set() for _ in range(g.num_labels)]
@@ -73,11 +47,6 @@ def adjacency_graph(g: HedgeGraph) -> HedgeAdjacencyGraph:
     for r, ns in enumerate(neighbors):
         ns.discard(r)
     return HedgeAdjacencyGraph(g.labels, tuple(frozenset(ns) for ns in neighbors))
-
-
-def adjacency_degree(g: HedgeGraph, label: LabelRef) -> int:
-    """Number of other hedges sharing a vertex with this one."""
-    return adjacency_graph(g).degree(g.label_id(label))
 
 
 def max_adjacency_degree(g: HedgeGraph) -> int:

@@ -27,7 +27,8 @@ from typing import Any, Sequence
 from .adjacency import adjacency_graph, greedy_relabel
 from .connectivity import brute_force_connectivity
 from .contraction import contract_edge, contract_hedge, contraction_sequence
-from .graph import GraphError, HedgeGraph, build_graph, graph_rank_nullity, hedge_view, is_connected
+from .graph import (GraphError, HedgeGraph, _vertex_label_sets, build_graph, graph_rank_nullity,
+                    hedge_view, is_connected)
 from .hgformat import ParseError, emit, parse
 from .rng import Rng, mix
 
@@ -104,20 +105,6 @@ def instance_digest(text: str) -> str:
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
-def _incident_labels(g: HedgeGraph, count_loops: bool,
-                     within: frozenset[int] | None = None) -> list[set[int]]:
-    """Incident label sets per vertex under the selected degree convention."""
-    sets: list[set[int]] = [set() for _ in range(g.n)]
-    for u, v, lab in g.edges:
-        if u == v and not count_loops:
-            continue
-        if within is not None and (u not in within or v not in within):
-            continue
-        sets[u].add(lab)
-        sets[v].add(lab)
-    return sets
-
-
 def _chromatic_number(neighbors: Sequence[frozenset[int]]) -> int:
     """Exact chromatic number by backtracking; intended for tiny graphs."""
     count = len(neighbors)
@@ -185,7 +172,7 @@ def audit_theorem(theorem: TheoremId, g: HedgeGraph, *, count_loops: bool = True
         return AuditVerdict(theorem, text, digest, holds, lhs, rhs, witness or None)
 
     def degrees_of(h: HedgeGraph, within: frozenset[int] | None = None) -> list[int]:
-        return [len(s) for s in _incident_labels(h, count_loops, within)]
+        return [len(s) for s in _vertex_label_sets(h, count_loops, within)]
 
     degrees = degrees_of(g)
     delta, big_delta = min(degrees), max(degrees)

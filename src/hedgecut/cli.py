@@ -11,6 +11,7 @@ seed where --seed is not given.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -180,6 +181,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one parser serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hedgecut",
                                      description="Hedge graph connectivity toolkit.")

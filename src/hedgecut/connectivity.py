@@ -166,11 +166,11 @@ def min_label_degree_bound(g: HedgeGraph) -> int:
     return min(len(s) for s in _vertex_label_sets(g))
 
 
-def _degree_bound_certificate(g: HedgeGraph) -> CutCertificate:
+def _degree_bound_certificate(g: HedgeGraph, sets: list[set[int]],
+                              exact: bool = False) -> CutCertificate:
     # removing every label at a minimum-degree vertex isolates it
-    degrees = [len(s) for s in _vertex_label_sets(g)]
-    v = degrees.index(min(degrees))
-    return _certificate(g, frozenset(_vertex_label_sets(g)[v]), "fastpath", False)
+    v = min(range(g.n), key=lambda x: len(sets[x]))
+    return _certificate(g, frozenset(sets[v]), "fastpath", exact)
 
 
 def brute_force_connectivity(g: HedgeGraph, cap: int = 20) -> CutCertificate:
@@ -192,7 +192,7 @@ def brute_force_connectivity(g: HedgeGraph, cap: int = 20) -> CutCertificate:
         return _disconnected_certificate(g, "brute")
     if g.num_labels > cap:
         raise GraphError(f"label count {g.num_labels} exceeds the enumeration cap {cap}")
-    bound = min_label_degree_bound(g)
+    bound = min(len(s) for s in _vertex_label_sets(g))
     forests = _hedge_forests(g)
     big_first = sorted(range(g.num_labels), key=lambda lab: -len(forests[lab]))
     spanning: list[int] = []  # label masks of spanning trees found, newest first
@@ -317,9 +317,6 @@ def randomized_contraction_cut(g: HedgeGraph, seed: int) -> CutCertificate:
     dropping it would change the draw sequence.  The labels still
     crossing the final vertex groups form the candidate cut; side_a is
     the group of vertex 0.
-
-    Each step costs O(m) on the per-label forests, where rebuilding the
-    contracted graph and viewing every hedge cost O(|L| * m).
     """
     if g.n < 2:
         raise GraphError("connectivity is undefined for a single vertex")
@@ -359,7 +356,7 @@ def randomized_connectivity(g: HedgeGraph, trials: int | None = None,
             if best.size == 1:
                 break  # connected graphs need at least one hedge removed
     if best is None:
-        return _degree_bound_certificate(g)
+        return _degree_bound_certificate(g, _vertex_label_sets(g))
     return best
 
 
@@ -386,11 +383,10 @@ def hedge_connectivity(g: HedgeGraph, method: str = "auto", cap: int = 20,
         return _disconnected_certificate(g, "fastpath")
     if g.num_labels == 1:
         return _certificate(g, frozenset({0}), "fastpath", True)
-    degrees = [len(s) for s in _vertex_label_sets(g)]
-    if min(degrees) == 1:
+    sets = _vertex_label_sets(g)
+    if min(len(s) for s in sets) == 1:
         # all edges at such a vertex carry one label; removing it isolates the vertex
-        v = degrees.index(1)
-        return _certificate(g, frozenset(_vertex_label_sets(g)[v]), "fastpath", True)
+        return _degree_bound_certificate(g, sets, exact=True)
     if g.num_labels == g.m:
         return ordinary_edge_min_cut(g)
     if g.num_labels <= cap:

@@ -216,11 +216,22 @@ def graph_rank_nullity(g: HedgeGraph) -> tuple[int, int]:
     return rank, g.m - rank
 
 
-def _vertex_label_sets(g: HedgeGraph) -> list[set[int]]:
+def _vertex_label_sets(g: HedgeGraph, count_loops: bool = True,
+                       within: frozenset[int] | None = None) -> list[set[int]]:
+    """Incident label sets per vertex: the one label-degree convention.
+
+    A loop adds its label to its vertex once, or not at all without
+    ``count_loops``; with ``within``, only edges inside that vertex set
+    count (degrees induced by a hedge's vertex set).
+    """
     sets: list[set[int]] = [set() for _ in range(g.n)]
     for u, v, lab in g.edges:
+        if u == v and not count_loops:
+            continue
+        if within is not None and (u not in within or v not in within):
+            continue
         sets[u].add(lab)
-        sets[v].add(lab)  # a loop adds its label to one vertex, once
+        sets[v].add(lab)
     return sets
 
 
@@ -228,24 +239,12 @@ def label_degree(g: HedgeGraph, v: int) -> int:
     """Number of distinct labels on edges incident to ``v`` (a loop counts once)."""
     if not (0 <= v < g.n):
         raise GraphError(f"vertex {v} out of range")
-    labels = set()
-    for a, b, lab in g.edges:
-        if a == v or b == v:
-            labels.add(lab)
-    return len(labels)
+    return len(_vertex_label_sets(g)[v])
 
 
 def degree_summary(g: HedgeGraph) -> tuple[int, int, int]:
     """(min, max, total) of the label degree over all vertices."""
     degs = [len(s) for s in _vertex_label_sets(g)]
-    return min(degs), max(degs), sum(degs)
-
-
-def hedge_degree_summary(g: HedgeGraph, label: LabelRef) -> tuple[int, int, int]:
-    """(min, max, total) of full-graph label degrees over the hedge's vertices."""
-    view = hedge_view(g, label)
-    sets = _vertex_label_sets(g)
-    degs = [len(sets[v]) for v in sorted(view.vertex_set)]
     return min(degs), max(degs), sum(degs)
 
 

@@ -2,13 +2,11 @@ import pytest
 
 from hedgecut import (
     GraphError,
-    adjacency_degree,
     adjacency_graph,
     build_graph,
-    component_adjacency_matrix,
     degree_summary,
     greedy_relabel,
-    hedges_adjacent,
+    hedge_view,
     label_degree,
     max_adjacency_degree,
 )
@@ -17,49 +15,6 @@ from hedgecut import (
 @pytest.fixture
 def chain():
     return build_graph(4, [(0, 1, "a"), (1, 2, "b"), (2, 3, "c")])
-
-
-class TestHedgesAdjacent:
-    def test_c4alt_share_vertices(self, c4alt):
-        assert hedges_adjacent(c4alt, "a", "b")
-
-    def test_chain_ends_disjoint(self, chain):
-        assert not hedges_adjacent(chain, "a", "c")
-        assert hedges_adjacent(chain, "a", "b")
-
-    def test_symmetric(self, chain):
-        assert hedges_adjacent(chain, "b", "a") == hedges_adjacent(chain, "a", "b")
-
-    def test_identical_labels_rejected(self, chain):
-        with pytest.raises(GraphError, match="distinct"):
-            hedges_adjacent(chain, "a", "a")
-
-
-class TestComponentAdjacencyMatrix:
-    def test_c4alt_all_components_meet(self, c4alt):
-        assert component_adjacency_matrix(c4alt, "a", "b") == [[True, True], [True, True]]
-
-    def test_chain_disjoint_pair(self, chain):
-        assert component_adjacency_matrix(chain, "a", "c") == [[False]]
-
-    def test_zero_matrix_iff_not_adjacent(self, chain):
-        for r in chain.labels:
-            for t in chain.labels:
-                if r == t:
-                    continue
-                matrix = component_adjacency_matrix(chain, r, t)
-                assert any(any(row) for row in matrix) == hedges_adjacent(chain, r, t)
-
-    def test_padding_rows_are_zero(self, c4alt, spider):
-        g = build_graph(5, [(0, 1, "a"), (2, 3, "a"), (3, 4, "b")])
-        matrix = component_adjacency_matrix(g, "b", "a")
-        assert len(matrix) == 2  # order = max span over all hedges
-        assert matrix[0] == [False, True]  # V(b) meets only the second a-component
-        assert matrix[1] == [False, False]
-
-    def test_identical_labels_rejected(self, c4alt):
-        with pytest.raises(GraphError, match="distinct"):
-            component_adjacency_matrix(c4alt, "a", "a")
 
 
 class TestAdjacencyGraph:
@@ -79,20 +34,22 @@ class TestAdjacencyGraph:
             assert i not in ns
 
     def test_degrees(self, triangle, chain, single_label_path):
-        assert adjacency_degree(triangle, "a") == 2
-        assert adjacency_degree(chain, "b") == 2
-        assert adjacency_degree(chain, "a") == 1
-        assert adjacency_degree(single_label_path, "s") == 0
+        assert adjacency_graph(triangle).degree(triangle.label_id("a")) == 2
+        assert adjacency_graph(chain).degree(chain.label_id("b")) == 2
+        assert adjacency_graph(chain).degree(chain.label_id("a")) == 1
+        assert adjacency_graph(single_label_path).degree(0) == 0
         assert max_adjacency_degree(chain) == 2
         assert max_adjacency_degree(single_label_path) == 0
 
     def test_matches_pairwise_predicate(self, spider, c4alt, chain):
+        # two hedges are adjacent iff their vertex sets intersect
         for g in (spider, c4alt, chain):
             adj = adjacency_graph(g)
+            vertex_sets = [hedge_view(g, lab).vertex_set for lab in range(g.num_labels)]
             for r in range(g.num_labels):
                 for t in range(g.num_labels):
                     if r != t:
-                        assert (t in adj.neighbors[r]) == hedges_adjacent(g, r, t)
+                        assert (t in adj.neighbors[r]) == bool(vertex_sets[r] & vertex_sets[t])
 
 
 class TestGreedyRelabel:

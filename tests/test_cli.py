@@ -84,6 +84,18 @@ class TestConnectivity:
         assert result.stdout == ""
         assert "--trials" in result.stderr
 
+    def test_in_process_calls_share_no_values(self, monkeypatch, capsys):
+        # main reuses one parser; options of one call must not reach the next
+        import hedgecut.cli as cli
+
+        monkeypatch.delenv("HEDGECUT_SEED", raising=False)
+        assert cli.main(["connectivity", C4ALT, "--method", "random",
+                         "--trials", "3", "--seed", "5"]) == 0
+        capsys.readouterr()
+        assert cli.main(["connectivity", C4ALT]) == 0
+        assert capsys.readouterr().out == "lambda_h=1\nexact=true\ncut=a\nsides=0,3|1,2\n"
+        assert cli.build_parser() is cli.build_parser()
+
     def test_zero_trials_accepted(self):
         result = run_cli("connectivity", C4ALT, "--method", "random", "--trials", "0")
         assert result.returncode == 0

@@ -6,7 +6,6 @@ from hedgecut import (
     build_graph,
     degree_summary,
     graph_rank_nullity,
-    hedge_degree_summary,
     hedge_view,
     is_connected,
     label_degree,
@@ -139,17 +138,6 @@ class TestLabelDegrees:
     def test_out_of_range(self, p3):
         with pytest.raises(GraphError):
             label_degree(p3, 3)
-
-
-class TestHedgeDegreeSummary:
-    def test_c4alt_hedge_a(self, c4alt):
-        assert hedge_degree_summary(c4alt, "a") == (2, 2, 8)
-
-    def test_p3_hedge_a(self, p3):
-        assert hedge_degree_summary(p3, "a") == (1, 2, 3)
-
-    def test_triangle_hedge_a(self, triangle):
-        assert hedge_degree_summary(triangle, "a") == (2, 2, 4)
 
 
 class TestRemoveHedges:

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hedgecut import ParseError, build_graph, emit, parse
 
@@ -75,3 +76,37 @@ class TestEmit:
 
     def test_single_vertex(self):
         assert emit(build_graph(1, [])) == "HG1 1 0\n"
+
+
+# Fuzzed HG1 text.  Every count-like token is a bounded integer, and free
+# text holds no decimal digit (Unicode category Nd, the digits int()
+# reads), so no draw declares more than 50 vertices or edges.
+_number = st.integers(-2, 50)
+_junk = st.lists(st.one_of(_number.map(str),
+                           st.sampled_from(["HG1", "HG2", "a", "#", "1.5", "0x3", "\u0663"]),
+                           st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=6)),
+                 max_size=5).map(" ".join)
+
+
+@st.composite
+def hg1_texts(draw):
+    """A header and edge lines, often well formed, with junk lines spliced in."""
+    edges = draw(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9),
+                                    st.sampled_from(["a", "b", "c", "x#y"])),
+                          max_size=10, unique_by=lambda e: frozenset(e[:2])))
+    m = draw(st.one_of(st.just(len(edges)), _number))
+    lines = [f"HG1 {draw(st.one_of(st.integers(10, 50), _number))} {m}"]
+    lines += [f"{u} {v} {lab}" for u, v, lab in edges]
+    for junk in draw(st.lists(_junk, max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), junk)
+    return draw(st.sampled_from(["\n", "\r\n", "\r", "\x85"])).join(lines)
+
+
+@settings(max_examples=400, deadline=None)
+@given(hg1_texts())
+def test_fuzzed_text_parses_or_raises_parse_error(text):
+    try:
+        g = parse(text)
+    except ParseError:
+        return
+    assert parse(emit(g)) == g

@@ -5,14 +5,19 @@ separated by removing the labels of its crossing edges.  So the hedge
 connectivity is the minimum, over all 2^(n-1) - 1 bipartitions, of the
 number of labels with an edge crossing it.  The oracle below computes
 that from the raw edge list with bit masks and shares no code with the
-package's connectivity kernel.
+package's connectivity kernel.  The singleton-hedge min cut is checked
+against networkx's Stoer-Wagner, where networkx is installed.
 """
+
+import random
 
 import pytest
 
 from hedgecut import (
     GeneratorParams,
     brute_force_connectivity,
+    build_graph,
+    ordinary_edge_min_cut,
     random_instance,
     randomized_connectivity,
     randomized_contraction_cut,
@@ -52,3 +57,22 @@ def test_enumeration_matches_oracle(family):
         best = randomized_connectivity(g, trials=6, base_seed=seed)
         assert best.size >= lam
         assert validate_certificate(g, best)
+
+
+def test_edge_min_cut_matches_networkx():
+    # with one label per edge the hedge connectivity is the edge connectivity
+    nx = pytest.importorskip("networkx")
+    for seed in range(40):
+        rng = random.Random(seed)
+        n = rng.randint(5, 30)
+        pairs = {(rng.randrange(v), v) for v in range(1, n)}  # a random tree
+        for _ in range(rng.randint(0, 2 * n)):
+            u, v = sorted(rng.sample(range(n), 2))
+            pairs.add((u, v))
+        edges = [(u, v, f"e{i}") for i, (u, v) in enumerate(sorted(pairs))]
+        g = build_graph(n, edges)
+        cert = ordinary_edge_min_cut(g)
+        graph = nx.Graph()
+        graph.add_edges_from((u, v) for u, v, _ in edges)
+        assert cert.size == nx.stoer_wagner(graph)[0], seed
+        assert validate_certificate(g, cert)

@@ -16,7 +16,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .adjacency import adjacency_graph, greedy_relabel
+from .adjacency import greedy_relabel, max_adjacency_degree
 from .audit import (
     UNIVERSAL_IDS,
     GeneratorParams,
@@ -84,7 +84,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     g = _load(args.file)
     rank, nullity = graph_rank_nullity(g)
     delta, big_delta, total = degree_summary(g)
-    adj = adjacency_graph(g)
     views = [hedge_view(g, lab) for lab in range(g.num_labels)]
     print(f"n={g.n}")
     print(f"m={g.m}")
@@ -93,7 +92,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     print(f"nullity={nullity}")
     print(f"delta_L={delta}")
     print(f"Delta_L={big_delta}")
-    print(f"max_dA={max((adj.degree(i) for i in range(g.num_labels)), default=0)}")
+    print(f"max_dA={max_adjacency_degree(g)}")
     for view in views:
         print(f"hedge label={view.name} span={view.span} rank={view.rank} nullity={view.nullity}")
     print(f"sum_rank={sum(v.rank for v in views)}")

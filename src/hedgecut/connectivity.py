@@ -26,6 +26,7 @@ from typing import Collection, Iterable
 from .graph import (
     GraphError,
     HedgeGraph,
+    _forest,
     _vertex_label_sets,
     is_connected,
 )
@@ -71,25 +72,6 @@ def validate_certificate(g: HedgeGraph, cert: CutCertificate) -> bool:
                    for u, v, lab in g.edges if lab not in cert.labels)
 
 
-def _forest(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    """A spanning forest of the given (u, v) pairs; loops are skipped.
-
-    Its length is the rank of the pairs: the merges they cause.
-    """
-    parent: dict[int, int] = {}
-    kept = []
-    for u, v in pairs:
-        a, b = u, v
-        while a in parent:
-            a = parent[a]
-        while b in parent:
-            b = parent[b]
-        if a != b:
-            parent[a] = b
-            kept.append((u, v))
-    return kept
-
-
 def _hedge_forests(g: HedgeGraph) -> Forests:
     """Each label's spanning forest over the original vertices.
 
@@ -118,9 +100,9 @@ def _join(n: int, forests: Forests, removed: Collection[int],
             continue
         for u, v in forests[lab]:
             while parent[u] != u:
-                u = parent[u]
+                parent[u] = u = parent[parent[u]]
             while parent[v] != v:
-                v = parent[v]
+                parent[v] = v = parent[parent[v]]
             if u != v:
                 parent[u] = v
                 used |= 1 << lab
@@ -137,7 +119,7 @@ def _bipartition_after_removal(n: int, forests: Forests,
 
     def root(x: int) -> int:
         while parent[x] != x:
-            x = parent[x]
+            parent[x] = x = parent[parent[x]]
         return x
 
     r0 = root(0)

@@ -76,10 +76,8 @@ def _compact(g: HedgeGraph, class_of: Sequence[int], drop_edge_label: int | None
     Returns the new graph and the old-to-new vertex map.
     """
     rep: dict[int, int] = {}
-    for v in range(g.n):
-        c = class_of[v]
-        if c not in rep or v < rep[c]:
-            rep[c] = v
+    for v in range(g.n):  # ascending, so the first member seen is the minimum
+        rep.setdefault(class_of[v], v)
     survivors = sorted(rep.values())
     dense = {old: new for new, old in enumerate(survivors)}
     vmap = tuple(dense[rep[class_of[v]]] for v in range(g.n))
@@ -92,12 +90,7 @@ def _compact(g: HedgeGraph, class_of: Sequence[int], drop_edge_label: int | None
     used = {lab for _, _, lab in kept}
     dropped = set(range(g.num_labels)) - used
     edges, labels = _drop_labels(kept, g.labels, dropped)
-
-    blocks: list[set[int]] = [set() for _ in survivors]
-    for v in range(g.n):
-        blocks[vmap[v]] |= g.origin_map[v]
-    out = HedgeGraph(len(survivors), edges, labels, tuple(frozenset(b) for b in blocks))
-    return out, vmap
+    return HedgeGraph(len(survivors), edges, labels), vmap
 
 
 def contract_edge(g: HedgeGraph, edge_index: int) -> tuple[HedgeGraph, int]:
@@ -162,7 +155,7 @@ def cleanup(g: HedgeGraph) -> tuple[HedgeGraph, CleanupReport]:
     report = CleanupReport(merged_parallel, merged_loops)
     if not merged_parallel and not merged_loops:
         return g, report
-    return HedgeGraph(g.n, tuple(kept), g.labels, g.origin_map), report
+    return HedgeGraph(g.n, tuple(kept), g.labels), report
 
 
 def contraction_sequence(g: HedgeGraph, order: Sequence[LabelRef],

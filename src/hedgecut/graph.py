@@ -1,4 +1,4 @@
-"""Labeled multigraph core: hedge views, label degrees, hedge removal.
+"""Labeled multigraph core: hedge views, ranks, label degrees, hedge removal.
 
 A hedge graph is an undirected graph whose edges carry exactly one label
 each; the edges sharing a label form a *hedge* and fail together (the
@@ -59,15 +59,13 @@ class HedgeGraph:
 
     Vertices are dense ids ``0..n-1`` and labels are dense ids
     ``0..len(labels)-1`` (``labels[i]`` is the original label string).
-    ``origin_map[v]`` is the set of original vertex ids the current vertex
-    ``v`` stands for; it is the identity on freshly built graphs and its
-    blocks always partition the original vertex set.
+    Contraction keeps no record of the vertices a merged vertex stands
+    for: every rank and nullity is a count of merges (see ``_forest``).
     """
 
     n: int
     edges: tuple[Edge, ...]
     labels: tuple[str, ...]
-    origin_map: tuple[frozenset[int], ...]
 
     def __post_init__(self):
         if self.n < 1:
@@ -86,15 +84,6 @@ class HedgeGraph:
         for name in self.labels:
             if not _valid_label_name(name):
                 raise GraphError(f"label name {name!r} must be a nonempty whitespace-free token")
-        if len(self.origin_map) != self.n:
-            raise GraphError("origin_map must have one block per vertex")
-        seen: set[int] = set()
-        for block in self.origin_map:
-            if not block:
-                raise GraphError("origin_map blocks must be nonempty")
-            if seen & block:
-                raise GraphError("origin_map blocks must be disjoint")
-            seen |= block
 
     @property
     def m(self) -> int:
@@ -121,33 +110,25 @@ class HedgeGraph:
 
 @dataclass(frozen=True, slots=True)
 class HedgeView:
-    """One hedge: its edges, vertex set and connected components.
+    """One hedge: its edges, vertex set and rank.
 
-    Components are maximal under the hedge's own edges (loops connect
-    nothing) and are ordered by ascending minimum vertex id.
+    ``rank`` counts the merges the hedge's own edges cause (loops merge
+    nothing); ``span`` counts the components of the vertex set under them.
     """
 
     label: int
     name: str
     edges: tuple[Edge, ...]
     vertex_set: frozenset[int]
-    components: tuple[frozenset[int], ...]
+    rank: int
 
     @property
     def span(self) -> int:
-        return len(self.components)
-
-    @property
-    def rank(self) -> int:
-        return len(self.vertex_set) - self.span
+        return len(self.vertex_set) - self.rank
 
     @property
     def nullity(self) -> int:
         return len(self.edges) - self.rank
-
-
-def identity_origin(n: int) -> tuple[frozenset[int], ...]:
-    return tuple(frozenset((v,)) for v in range(n))
 
 
 def build_graph(n: int, edge_list: Sequence[tuple[int, int, str]]) -> HedgeGraph:
@@ -180,29 +161,41 @@ def build_graph(n: int, edge_list: Sequence[tuple[int, int, str]]) -> HedgeGraph
             interned[name] = len(names)
             names.append(name)
         edges.append((u, v, interned[name]))
-    return HedgeGraph(n, tuple(edges), tuple(names), identity_origin(n))
+    return HedgeGraph(n, tuple(edges), tuple(names))
 
 
-def _components_of(n: int, vertices: Iterable[int], pairs: Iterable[tuple[int, int]]) -> tuple[frozenset[int], ...]:
-    """Connected components of the given vertex subset under the given edges."""
-    dsu = DisjointSets(n)
+def _forest(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """A spanning forest of the given (u, v) pairs; loops are skipped.
+
+    Its length is their rank, the merges they cause; every rank in the
+    package is taken here.  Path halving (also in ``connectivity._join``)
+    moves no root, so it keeps the same pairs; it skips writes under a root.
+    """
+    parent: dict[int, int] = {}
+    kept = []
     for u, v in pairs:
-        dsu.union(u, v)
-    groups: dict[int, list[int]] = {}
-    for v in vertices:
-        groups.setdefault(dsu.find(v), []).append(v)
-    comps = [frozenset(members) for members in groups.values()]
-    comps.sort(key=min)
-    return tuple(comps)
+        a, b = u, v
+        while a in parent:
+            if (p := parent[a]) in parent:
+                parent[a] = p = parent[p]
+            a = p
+        while b in parent:
+            if (p := parent[b]) in parent:
+                parent[b] = p = parent[p]
+            b = p
+        if a != b:
+            parent[a] = b
+            kept.append((u, v))
+    return kept
 
 
 def hedge_view(g: HedgeGraph, label: LabelRef) -> HedgeView:
-    """The hedge of ``label``: edge subsequence, vertex set, components."""
+    """The hedge of ``label``: edge subsequence, vertex set, rank."""
     lab = g.label_id(label)
     edges = tuple(e for e in g.edges if e[2] == lab)
     vertex_set = frozenset(x for u, v, _ in edges for x in (u, v))
-    comps = _components_of(g.n, vertex_set, ((u, v) for u, v, _ in edges if u != v))
-    return HedgeView(lab, g.labels[lab], edges, vertex_set, comps)
+    rank = len(_forest((u, v) for u, v, _ in edges))
+    return HedgeView(lab, g.labels[lab], edges, vertex_set, rank)
 
 
 def graph_rank_nullity(g: HedgeGraph) -> tuple[int, int]:
@@ -211,8 +204,7 @@ def graph_rank_nullity(g: HedgeGraph) -> tuple[int, int]:
     rank = n - span and nullity = m - rank, where span counts connected
     components over all n vertices (isolated ones included).
     """
-    comps = _components_of(g.n, range(g.n), ((u, v) for u, v, _ in g.edges if u != v))
-    rank = g.n - len(comps)
+    rank = len(_forest((u, v) for u, v, _ in g.edges))
     return rank, g.m - rank
 
 
@@ -263,7 +255,7 @@ def remove_hedges(g: HedgeGraph, labels: Iterable[LabelRef]) -> HedgeGraph:
         return g
     kept = [e for e in g.edges if e[2] not in drop]
     new_edges, new_labels = _drop_labels(kept, g.labels, drop)
-    return HedgeGraph(g.n, new_edges, new_labels, g.origin_map)
+    return HedgeGraph(g.n, new_edges, new_labels)
 
 
 def is_connected(g: HedgeGraph) -> bool:

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from hedgecut import (
@@ -7,6 +9,7 @@ from hedgecut import (
     build_graph,
     default_trial_count,
     hedge_connectivity,
+    hedge_view,
     min_label_degree_bound,
     ordinary_edge_min_cut,
     randomized_connectivity,
@@ -255,3 +258,21 @@ class TestValidateCertificate:
     def test_rejects_empty_side(self, c4alt):
         bad = CutCertificate(frozenset({0, 1}), frozenset(range(4)), frozenset(), "brute", False)
         assert not validate_certificate(c4alt, bad)
+
+
+def test_large_stars_listed_centre_first():
+    # every edge names the centre first, so a union-find without path
+    # compression grows one long chain and each find walks all of it
+    leaves = 20_000
+    two = build_graph(leaves + 1, [(0, v, "ab"[v % 2]) for v in range(1, leaves + 1)])
+    start = time.perf_counter()
+    for method in ("auto", "brute"):  # the degree-1 fast path, then one enumeration pass
+        cert = hedge_connectivity(two, method=method)
+        assert (cert.size, cert.exact) == (1, True)
+        assert validate_certificate(two, cert)
+    assert time.perf_counter() - start < 3.0
+    one = build_graph(leaves + 1, [(0, v, "s") for v in range(1, leaves + 1)])
+    start = time.perf_counter()
+    view = hedge_view(one, "s")
+    assert (view.span, view.rank) == (1, leaves)
+    assert time.perf_counter() - start < 3.0

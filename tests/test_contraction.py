@@ -10,7 +10,7 @@ from hedgecut import (
     graph_rank_nullity,
     hedge_view,
 )
-from hedgecut.graph import HedgeGraph, identity_origin
+from hedgecut.graph import HedgeGraph
 
 
 class TestContractEdge:
@@ -39,19 +39,14 @@ class TestContractEdge:
         g, _ = contract_edge(p3, 0)
         assert g.labels == ("b",)
 
-    def test_origin_blocks_union(self, c4alt):
-        g, w = contract_edge(c4alt, 0)
-        assert g.origin_map[w] == frozenset({0, 1})
-        assert g.origin_map[1] == frozenset({2})
-
     def test_merged_vertex_is_min_id(self):
         g0 = build_graph(3, [(2, 1, "a"), (0, 1, "b")])
         g, w = contract_edge(g0, 0)
         assert w == 1
-        assert g.origin_map[w] == frozenset({1, 2})
+        assert g.edges == ((0, 1, 0),)  # the b-edge now ends at the merged vertex
 
     def test_loop_rejected(self):
-        loopy = HedgeGraph(2, ((0, 0, 0), (0, 1, 0)), ("a",), identity_origin(2))
+        loopy = HedgeGraph(2, ((0, 0, 0), (0, 1, 0)), ("a",))
         with pytest.raises(GraphError, match="loop"):
             contract_edge(loopy, 0)
 
@@ -71,7 +66,6 @@ class TestContractHedge:
     def test_single_label_connected_collapses_to_point(self, single_label_path):
         g = contract_hedge(single_label_path, "s")
         assert g.n == 1 and g.m == 0 and g.labels == ()
-        assert g.origin_map == (frozenset({0, 1, 2, 3}),)
 
     def test_spider_hedge_b(self, spider):
         g = contract_hedge(spider, "b")
@@ -88,7 +82,7 @@ class TestContractHedge:
         assert g.labels == ("i",)
 
     def test_contracted_label_loops_deleted(self):
-        loopy = HedgeGraph(2, ((0, 1, 0), (1, 1, 0), (0, 1, 1)), ("i", "k"), identity_origin(2))
+        loopy = HedgeGraph(2, ((0, 1, 0), (1, 1, 0), (0, 1, 1)), ("i", "k"))
         g = contract_hedge(loopy, "i")
         assert g.labels == ("k",)
         assert g.edges == ((0, 0, 0),)
@@ -104,6 +98,9 @@ class TestContractHedge:
 
     def test_order_independent_of_edge_contraction_order(self, spider, c4alt):
         # whole-hedge contraction equals repeated single-edge contraction
+        def others(h, name):
+            return [(u, v, h.labels[lab]) for u, v, lab in h.edges if h.labels[lab] != name]
+
         for g, name in ((spider, "b"), (c4alt, "a")):
             whole = contract_hedge(g, name)
             for reverse in (False, True):
@@ -116,7 +113,7 @@ class TestContractHedge:
                         break
                     current, _ = contract_edge(current, picks[-1] if reverse else picks[0])
                 assert current.n == whole.n
-                assert set(current.origin_map) == set(whole.origin_map)
+                assert others(current, name) == others(whole, name)
 
     def test_unknown_label(self, c4alt):
         with pytest.raises(GraphError, match="unknown label"):
@@ -137,7 +134,7 @@ class TestCleanup:
         assert (report.merged_parallel, report.merged_loops) == (0, 0)
 
     def test_same_label_loops_merge(self):
-        loopy = HedgeGraph(1, ((0, 0, 0), (0, 0, 0), (0, 0, 1)), ("x", "y"), identity_origin(1))
+        loopy = HedgeGraph(1, ((0, 0, 0), (0, 0, 0), (0, 0, 1)), ("x", "y"))
         g, report = cleanup(loopy)
         assert g.m == 2
         assert report.merged_loops == 1
@@ -179,8 +176,10 @@ class TestContractionSequence:
             assert current.n - nxt.n == step.rank_consumed
             assert len(step.vertex_map) == current.n
             assert set(step.vertex_map) == set(range(nxt.n))
-            for v in range(current.n):
-                assert current.origin_map[v] <= nxt.origin_map[step.vertex_map[v]]
+            vmap = step.vertex_map
+            assert nxt.edges == tuple((vmap[u], vmap[v], nxt.label_id(current.labels[lab]))
+                                      for u, v, lab in current.edges
+                                      if current.labels[lab] != step.label)
             current = nxt
 
     def test_cleanup_mode_changes_nullity_totals(self, c4alt):

@@ -11,7 +11,6 @@ from hedgecut import (
     label_degree,
     remove_hedges,
 )
-from hedgecut.graph import identity_origin
 
 
 class TestBuildGraph:
@@ -23,9 +22,6 @@ class TestBuildGraph:
     def test_labels_interned_in_first_appearance_order(self, c4alt):
         assert c4alt.labels == ("a", "b")
         assert c4alt.edges == ((0, 1, 0), (1, 2, 1), (2, 3, 0), (3, 0, 1))
-
-    def test_identity_origin(self, c4alt):
-        assert c4alt.origin_map == identity_origin(4)
 
     def test_rejects_loop(self):
         with pytest.raises(GraphError, match="loop"):
@@ -57,7 +53,7 @@ class TestBuildGraph:
 
     def test_value_type_rejects_unused_label(self):
         with pytest.raises(GraphError, match="at least one edge"):
-            HedgeGraph(2, ((0, 1, 0),), ("a", "b"), identity_origin(2))
+            HedgeGraph(2, ((0, 1, 0),), ("a", "b"))
 
     def test_label_lookup(self, c4alt):
         assert c4alt.label_id("b") == 1
@@ -74,7 +70,6 @@ class TestHedgeView:
         assert view.rank == 2
         assert view.nullity == 0
         assert view.vertex_set == frozenset(range(4))
-        assert view.components == (frozenset({0, 1}), frozenset({2, 3}))
 
     def test_triangle_single_edge_hedge(self, triangle):
         view = hedge_view(triangle, "a")
@@ -86,15 +81,16 @@ class TestHedgeView:
         assert view.rank == single_label_path.n - 1
 
     def test_components_ordered_by_min_vertex(self):
+        # two components, the higher one listed first: span counts both
         g = build_graph(6, [(4, 5, "a"), (0, 1, "a"), (2, 3, "b")])
         view = hedge_view(g, "a")
-        assert view.components == (frozenset({0, 1}), frozenset({4, 5}))
+        assert (view.span, view.rank) == (2, 2)
 
     def test_loop_vertex_is_singleton_component(self, c4alt):
         # loops connect nothing: a one-loop hedge has rank 0
-        loopy = HedgeGraph(2, ((0, 0, 0), (0, 1, 1)), ("x", "y"), identity_origin(2))
+        loopy = HedgeGraph(2, ((0, 0, 0), (0, 1, 1)), ("x", "y"))
         view = hedge_view(loopy, "x")
-        assert view.components == (frozenset({0}),)
+        assert view.span == 1
         assert view.rank == 0
         assert view.nullity == 1
 
@@ -132,7 +128,7 @@ class TestLabelDegrees:
         assert degree_summary(g) == (1, 3, 6)
 
     def test_loop_counts_its_label_once(self):
-        g = HedgeGraph(2, ((0, 0, 0), (0, 1, 0)), ("c",), identity_origin(2))
+        g = HedgeGraph(2, ((0, 0, 0), (0, 1, 0)), ("c",))
         assert label_degree(g, 0) == 1
 
     def test_out_of_range(self, p3):

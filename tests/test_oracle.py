@@ -6,7 +6,8 @@ connectivity is the minimum, over all 2^(n-1) - 1 bipartitions, of the
 number of labels with an edge crossing it.  The oracle below computes
 that from the raw edge list with bit masks and shares no code with the
 package's connectivity kernel.  The singleton-hedge min cut is checked
-against networkx's Stoer-Wagner, where networkx is installed.
+against networkx's Stoer-Wagner, and every rank against networkx's
+component count, where networkx is installed.
 """
 
 import random
@@ -17,10 +18,15 @@ from hedgecut import (
     GeneratorParams,
     brute_force_connectivity,
     build_graph,
+    contract_edge,
+    contract_hedge,
+    graph_rank_nullity,
+    hedge_view,
     ordinary_edge_min_cut,
     random_instance,
     randomized_connectivity,
     randomized_contraction_cut,
+    remove_hedges,
     validate_certificate,
 )
 
@@ -76,3 +82,37 @@ def test_edge_min_cut_matches_networkx():
         graph.add_edges_from((u, v) for u, v, _ in edges)
         assert cert.size == nx.stoer_wagner(graph)[0], seed
         assert validate_certificate(g, cert)
+
+
+def test_ranks_match_networkx_components():
+    # rank = vertices - components and nullity = edges - rank, for every
+    # hedge and the whole graph, also after contractions (loops, parallels)
+    # and after a removal (often disconnected)
+    nx = pytest.importorskip("networkx")
+
+    def rank_nullity(vertices, pairs):
+        multi = nx.MultiGraph()
+        multi.add_nodes_from(vertices)
+        multi.add_edges_from(pairs)
+        rank = len(vertices) - nx.number_connected_components(multi)
+        return rank, len(pairs) - rank
+
+    hedges = loops = parallels = 0
+    for seed in range(60):
+        g = random_instance(GeneratorParams((2, 12), (0, 10), (1, 6), seed=5000 + seed))
+        rng = random.Random(seed)
+        graphs = [g, contract_hedge(g, rng.randrange(g.num_labels)),
+                  contract_edge(g, rng.randrange(g.m))[0],
+                  remove_hedges(g, [rng.randrange(g.num_labels)])]
+        for h in graphs:
+            assert graph_rank_nullity(h) == rank_nullity(range(h.n), [(u, v) for u, v, _ in h.edges])
+            for lab in range(h.num_labels):
+                pairs = [(u, v) for u, v, el in h.edges if el == lab]
+                vertices = {x for pair in pairs for x in pair}
+                rank, nullity = rank_nullity(vertices, pairs)
+                view = hedge_view(h, lab)
+                assert (view.span, view.rank, view.nullity) == (len(vertices) - rank, rank, nullity)
+                hedges += 1
+            loops += any(u == v for u, v, _ in h.edges)
+            parallels += len({frozenset((u, v)) for u, v, _ in h.edges}) < h.m
+    assert hedges > 400 and loops > 10 and parallels > 10, (hedges, loops, parallels)

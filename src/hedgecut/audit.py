@@ -102,7 +102,7 @@ class SearchResult:
 
 
 def instance_digest(text: str) -> str:
-    return hashlib.sha256(text.encode("ascii")).hexdigest()
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _chromatic_number(neighbors: Sequence[frozenset[int]]) -> int:

@@ -12,27 +12,29 @@ Enumeration, certificate checks and contraction trials share one flat
 representation, built once per graph: for every label, a spanning forest
 of its non-loop edges as ``(u, v)`` pairs over the original vertices.
 Which vertices a set of hedges connects depends only on these forests,
-so each subset test is one union-find pass over the kept forests, and a
-contraction trial is a union-find over the original vertices; no
-``HedgeGraph`` is rebuilt inside either loop.
+so each subset test and each certificate's sides are one pass of the
+package's union-find (``graph._join``) over the kept forests, and a
+contraction trial keeps member lists of classes over the original
+vertices; no ``HedgeGraph`` is rebuilt inside either loop.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Collection, Iterable
+from typing import Collection
 
 from .graph import (
+    Forests,
     GraphError,
     HedgeGraph,
     _forest,
+    _join,
+    _root,
     _vertex_label_sets,
     is_connected,
 )
 from .rng import Rng, mix
-
-Forests = list[list[tuple[int, int]]]  # label id -> spanning-forest edges of its hedge
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,46 +86,12 @@ def _hedge_forests(g: HedgeGraph) -> Forests:
     return [_forest(p) for p in pairs]
 
 
-def _join(n: int, forests: Forests, removed: Collection[int],
-          order: Iterable[int] | None = None) -> tuple[list[int], int, int]:
-    """Union-find over the forests of the labels not removed.
-
-    Returns (parents, class count, bit mask of the labels whose edges
-    merged classes).  Stops as soon as one class is left; the merging
-    labels then span the graph.  ``order`` is the label visiting order.
-    """
-    parent = list(range(n))
-    parts = n
-    used = 0
-    for lab in range(len(forests)) if order is None else order:
-        if lab in removed:
-            continue
-        for u, v in forests[lab]:
-            while parent[u] != u:
-                parent[u] = u = parent[parent[u]]
-            while parent[v] != v:
-                parent[v] = v = parent[parent[v]]
-            if u != v:
-                parent[u] = v
-                used |= 1 << lab
-                parts -= 1
-                if parts == 1:
-                    return parent, parts, used
-    return parent, parts, used
-
-
 def _bipartition_after_removal(n: int, forests: Forests,
                                labels: Collection[int]) -> tuple[frozenset[int], frozenset[int]]:
     """Split the leftover components into (component of vertex 0, the rest)."""
     parent, _, _ = _join(n, forests, labels)
-
-    def root(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    r0 = root(0)
-    side_a = frozenset(v for v in range(n) if root(v) == r0)
+    r0 = _root(parent, 0)
+    side_a = frozenset(v for v in range(n) if _root(parent, v) == r0)
     return side_a, frozenset(range(n)) - side_a
 
 

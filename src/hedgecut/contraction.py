@@ -18,11 +18,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .graph import (
-    DisjointSets,
     GraphError,
     HedgeGraph,
     LabelRef,
     _drop_labels,
+    _join,
+    _root,
     hedge_view,
 )
 
@@ -113,11 +114,8 @@ def contract_edge(g: HedgeGraph, edge_index: int) -> tuple[HedgeGraph, int]:
 
 def _contract_hedge_mapped(g: HedgeGraph, label: LabelRef) -> tuple[HedgeGraph, tuple[int, ...]]:
     lab = g.label_id(label)
-    dsu = DisjointSets(g.n)
-    for u, v, e_lab in g.edges:
-        if e_lab == lab and u != v:
-            dsu.union(u, v)
-    class_of = [dsu.find(v) for v in range(g.n)]
+    parent, _, _ = _join(g.n, [[(u, v) for u, v, e_lab in g.edges if e_lab == lab]], ())
+    class_of = [_root(parent, v) for v in range(g.n)]
     return _compact(g, class_of, lab)
 
 

@@ -5,48 +5,25 @@ each; the edges sharing a label form a *hedge* and fail together (the
 networking analogue is a shared-risk link group).  Freshly built graphs
 must be simple; graphs produced by operations (contraction, removal) may
 contain loops and parallel edges.
+
+Two merge routines serve the whole package: ``_forest`` keeps a spanning
+forest of a sparse pair set and gives every rank; ``_join`` (with
+``_root``) is the one union-find over all vertices 0..n-1, behind the
+connectivity test, hedge contraction and every cut's sides.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Collection, Iterable, Sequence, Union
 
 Edge = tuple[int, int, int]  # (u, v, label id)
 LabelRef = Union[int, str]
+Forests = list[list[tuple[int, int]]]  # label id -> (u, v) pairs, usually a spanning forest
 
 
 class GraphError(ValueError):
     """Invalid graph input or an operation applied outside its domain."""
-
-
-class DisjointSets:
-    """Union-find over 0..n-1 with path compression and union by size."""
-
-    __slots__ = ("parent", "size")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return True
 
 
 def _valid_label_name(name: str) -> bool:
@@ -168,8 +145,10 @@ def _forest(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     """A spanning forest of the given (u, v) pairs; loops are skipped.
 
     Its length is their rank, the merges they cause; every rank in the
-    package is taken here.  Path halving (also in ``connectivity._join``)
-    moves no root, so it keeps the same pairs; it skips writes under a root.
+    package is taken here.  Dict-based, for pair sets that touch few of
+    the vertices; ``_join`` is the union-find over all of 0..n-1.  Path
+    halving moves no root, so it keeps the same pairs; it skips writes
+    under a root.
     """
     parent: dict[int, int] = {}
     kept = []
@@ -187,6 +166,42 @@ def _forest(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
             parent[a] = b
             kept.append((u, v))
     return kept
+
+
+def _root(parent: list[int], x: int) -> int:
+    """Root of ``x`` in a ``_join`` parent list, halving the path walked."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
+def _join(n: int, forests: Forests, removed: Collection[int],
+          order: Iterable[int] | None = None) -> tuple[list[int], int, int]:
+    """Union-find over 0..n-1 merging the pairs of the labels not removed.
+
+    Returns (parents, class count, bit mask of the labels whose pairs
+    merged classes); ``_root`` reads a vertex's class from the parents.
+    Stops as soon as one class is left; the merging labels then span the
+    graph.  ``order`` is the label visiting order.  Loops merge nothing.
+    """
+    parent = list(range(n))
+    parts = n
+    used = 0
+    for lab in range(len(forests)) if order is None else order:
+        if lab in removed:
+            continue
+        for u, v in forests[lab]:
+            while parent[u] != u:  # _root, inlined: this loop is the hot path
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u != v:
+                parent[u] = v
+                used |= 1 << lab
+                parts -= 1
+                if parts == 1:
+                    return parent, parts, used
+    return parent, parts, used
 
 
 def hedge_view(g: HedgeGraph, label: LabelRef) -> HedgeView:
@@ -260,11 +275,4 @@ def remove_hedges(g: HedgeGraph, labels: Iterable[LabelRef]) -> HedgeGraph:
 
 def is_connected(g: HedgeGraph) -> bool:
     """True iff the graph has a single connected component (loops ignored)."""
-    dsu = DisjointSets(g.n)
-    parts = g.n
-    for u, v, _ in g.edges:
-        if u != v and dsu.union(u, v):
-            parts -= 1
-            if parts == 1:
-                return True
-    return parts == 1
+    return _join(g.n, [[(u, v) for u, v, _ in g.edges]], ())[1] == 1

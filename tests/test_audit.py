@@ -235,6 +235,19 @@ class TestVerification:
         for v in audit_theorem(TheoremId.CONTRACTV_BAND, twoi):
             assert verify_certificate(parse_verdict(format_verdict(v)))
 
+    def test_non_ascii_label_round_trips(self):
+        g = build_graph(3, [(0, 1, "é"), (1, 2, "b")])
+        verdicts = [v for theorem in TheoremId for v in audit_theorem(theorem, g)]
+        assert len(verdicts) == 27
+        for v in verdicts:
+            assert verify_certificate(parse_verdict(format_verdict(v)))
+
+    def test_non_ascii_comment_is_a_digest_mismatch(self, c4alt):
+        lines = format_verdict(audit_theorem(TheoremId.RANKSUM_STATIC, c4alt)[0]).splitlines(keepends=True)
+        record = parse_verdict("".join([*lines[:2], "# café\n", *lines[2:]]))
+        assert "café" in record.instance_text
+        assert verify_certificate(record) is False
+
 
 class TestGenerator:
     def test_deterministic(self):

@@ -7,9 +7,11 @@ from hedgecut import (
     GraphError,
     brute_force_connectivity,
     build_graph,
+    contract_hedge,
     default_trial_count,
     hedge_connectivity,
     hedge_view,
+    is_connected,
     min_label_degree_bound,
     ordinary_edge_min_cut,
     randomized_connectivity,
@@ -262,17 +264,23 @@ class TestValidateCertificate:
 
 def test_large_stars_listed_centre_first():
     # every edge names the centre first, so a union-find without path
-    # compression grows one long chain and each find walks all of it
+    # compression (graph._forest, or graph._join behind the connectivity
+    # test, hedge contraction and cut sides) grows one long chain and
+    # each find walks all of it
     leaves = 20_000
     two = build_graph(leaves + 1, [(0, v, "ab"[v % 2]) for v in range(1, leaves + 1)])
     start = time.perf_counter()
+    assert is_connected(two)
     for method in ("auto", "brute"):  # the degree-1 fast path, then one enumeration pass
         cert = hedge_connectivity(two, method=method)
         assert (cert.size, cert.exact) == (1, True)
         assert validate_certificate(two, cert)
+    assert contract_hedge(two, "a").n == leaves // 2 + 1
     assert time.perf_counter() - start < 3.0
     one = build_graph(leaves + 1, [(0, v, "s") for v in range(1, leaves + 1)])
     start = time.perf_counter()
     view = hedge_view(one, "s")
     assert (view.span, view.rank) == (1, leaves)
+    point = contract_hedge(one, "s")
+    assert (point.n, point.m) == (1, 0)
     assert time.perf_counter() - start < 3.0

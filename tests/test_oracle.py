@@ -6,8 +6,9 @@ connectivity is the minimum, over all 2^(n-1) - 1 bipartitions, of the
 number of labels with an edge crossing it.  The oracle below computes
 that from the raw edge list with bit masks and shares no code with the
 package's connectivity kernel.  The singleton-hedge min cut is checked
-against networkx's Stoer-Wagner, and every rank against networkx's
-component count, where networkx is installed.
+against networkx's Stoer-Wagner, and every rank, the connectivity test
+and the classes a hedge contraction merges against networkx's
+components, where networkx is installed.
 """
 
 import random
@@ -20,8 +21,10 @@ from hedgecut import (
     build_graph,
     contract_edge,
     contract_hedge,
+    contraction_sequence,
     graph_rank_nullity,
     hedge_view,
+    is_connected,
     ordinary_edge_min_cut,
     random_instance,
     randomized_connectivity,
@@ -87,17 +90,21 @@ def test_edge_min_cut_matches_networkx():
 def test_ranks_match_networkx_components():
     # rank = vertices - components and nullity = edges - rank, for every
     # hedge and the whole graph, also after contractions (loops, parallels)
-    # and after a removal (often disconnected)
+    # and after a removal (often disconnected); the connectivity test and
+    # the classes a hedge contraction merges match the same components
     nx = pytest.importorskip("networkx")
 
-    def rank_nullity(vertices, pairs):
+    def multigraph(vertices, pairs):
         multi = nx.MultiGraph()
         multi.add_nodes_from(vertices)
         multi.add_edges_from(pairs)
-        rank = len(vertices) - nx.number_connected_components(multi)
+        return multi
+
+    def rank_nullity(vertices, pairs):
+        rank = len(vertices) - nx.number_connected_components(multigraph(vertices, pairs))
         return rank, len(pairs) - rank
 
-    hedges = loops = parallels = 0
+    hedges = loops = parallels = disconnected = 0
     for seed in range(60):
         g = random_instance(GeneratorParams((2, 12), (0, 10), (1, 6), seed=5000 + seed))
         rng = random.Random(seed)
@@ -105,14 +112,25 @@ def test_ranks_match_networkx_components():
                   contract_edge(g, rng.randrange(g.m))[0],
                   remove_hedges(g, [rng.randrange(g.num_labels)])]
         for h in graphs:
-            assert graph_rank_nullity(h) == rank_nullity(range(h.n), [(u, v) for u, v, _ in h.edges])
+            all_pairs = [(u, v) for u, v, _ in h.edges]
+            assert graph_rank_nullity(h) == rank_nullity(range(h.n), all_pairs)
+            assert is_connected(h) == nx.is_connected(multigraph(range(h.n), all_pairs))
+            disconnected += not is_connected(h)
             for lab in range(h.num_labels):
                 pairs = [(u, v) for u, v, el in h.edges if el == lab]
                 vertices = {x for pair in pairs for x in pair}
                 rank, nullity = rank_nullity(vertices, pairs)
                 view = hedge_view(h, lab)
                 assert (view.span, view.rank, view.nullity) == (len(vertices) - rank, rank, nullity)
+                order = [lab, *(other for other in range(h.num_labels) if other != lab)]
+                vmap = contraction_sequence(h, order).steps[0].vertex_map
+                classes = {}
+                for v in range(h.n):
+                    classes.setdefault(vmap[v], set()).add(v)
+                components = nx.connected_components(multigraph(range(h.n), pairs))
+                assert sorted(map(sorted, classes.values())) == sorted(map(sorted, components))
                 hedges += 1
             loops += any(u == v for u, v, _ in h.edges)
             parallels += len({frozenset((u, v)) for u, v, _ in h.edges}) < h.m
-    assert hedges > 400 and loops > 10 and parallels > 10, (hedges, loops, parallels)
+    assert hedges > 400 and loops > 10 and parallels > 10 and disconnected > 10, (
+        hedges, loops, parallels, disconnected)

@@ -180,10 +180,11 @@ def audit_theorem(theorem: TheoremId, g: HedgeGraph, *, count_loops: bool = True
     adj = adjacency_graph(g)
     max_da = max((adj.degree(i) for i in range(g.num_labels)), default=0)
 
-    def q_used() -> tuple[int, int, int | None]:
+    def q_used() -> tuple[int, dict[str, int | None]]:
         greedy_q = greedy_relabel(g).num_colors
         optimal_q = _chromatic_number(adj.neighbors) if g.num_labels <= 8 else None
-        return (optimal_q if optimal_q is not None else greedy_q), greedy_q, optimal_q
+        q = optimal_q if optimal_q is not None else greedy_q
+        return q, {"greedy_q": greedy_q, "optimal_q": optimal_q}
 
     def lambda_h() -> int:
         return brute_force_connectivity(g, cap=g.num_labels).size
@@ -193,9 +194,8 @@ def audit_theorem(theorem: TheoremId, g: HedgeGraph, *, count_loops: bool = True
         return [verdict(lam <= delta, lam, delta)]
 
     if theorem is TheoremId.T2_RELABEL_GE_MAXDEG:
-        q, greedy_q, optimal_q = q_used()
-        return [verdict(q >= big_delta, q, big_delta,
-                        {"greedy_q": greedy_q, "optimal_q": optimal_q})]
+        q, q_witness = q_used()
+        return [verdict(q >= big_delta, q, big_delta, q_witness)]
 
     if theorem is TheoremId.T3_DA_LE_TOTAL:
         out = []
@@ -210,21 +210,18 @@ def audit_theorem(theorem: TheoremId, g: HedgeGraph, *, count_loops: bool = True
         return [verdict(max_da >= big_delta, max_da, big_delta)]
 
     if theorem is TheoremId.T5_RELABEL_GE_MAXDA:
-        q, greedy_q, optimal_q = q_used()
-        return [verdict(q >= max_da, q, max_da,
-                        {"greedy_q": greedy_q, "optimal_q": optimal_q})]
+        q, q_witness = q_used()
+        return [verdict(q >= max_da, q, max_da, q_witness)]
 
     if theorem is TheoremId.VIZING_BAND:
-        q, greedy_q, optimal_q = q_used()
-        return [verdict(max_da <= q <= max_da + 1, q, [max_da, max_da + 1],
-                        {"greedy_q": greedy_q, "optimal_q": optimal_q})]
+        q, q_witness = q_used()
+        return [verdict(max_da <= q <= max_da + 1, q, [max_da, max_da + 1], q_witness)]
 
     if theorem is TheoremId.COROLLARY_CHAIN:
-        q, greedy_q, optimal_q = q_used()
+        q, q_witness = q_used()
         chain = [lambda_h(), delta, big_delta, max_da, q]
         holds = all(a <= b for a, b in zip(chain, chain[1:]))
-        return [verdict(holds, chain, None,
-                        {"greedy_q": greedy_q, "optimal_q": optimal_q})]
+        return [verdict(holds, chain, None, q_witness)]
 
     if theorem in (TheoremId.RANKSUM_STATIC, TheoremId.NULLSUM_STATIC):
         rank, nullity = graph_rank_nullity(g)
@@ -238,7 +235,7 @@ def audit_theorem(theorem: TheoremId, g: HedgeGraph, *, count_loops: bool = True
         rank, nullity = graph_rank_nullity(g)
         out = []
         for order in _sample_orders(g, digest):
-            trace = contraction_sequence(g, order, apply_cleanup=False)
+            trace = contraction_sequence(g, order)
             if theorem is TheoremId.RANKSUM_SEQ:
                 lhs, rhs = rank, trace.total_rank_consumed
             else:
@@ -429,16 +426,19 @@ def _repair_labels(labels: list[int], num_labels: int) -> None:
         counts[missing] += 1
 
 
+def _check_ranges(params: GeneratorParams) -> None:
+    """Reject empty or out-of-domain generator ranges before any work."""
+    for (lo, hi), least, what in ((params.n_range, 2, "vertex count"),
+                                  (params.extra_range, 0, "extra edge"),
+                                  (params.label_range, 1, "label count")):
+        if not (least <= lo <= hi):
+            raise GraphError(f"{what} range must satisfy {least} <= lo <= hi")
+
+
 def _random_instance(rng: Rng, params: GeneratorParams) -> HedgeGraph:
     n_lo, n_hi = params.n_range
     extra_lo, extra_hi = params.extra_range
     lab_lo, lab_hi = params.label_range
-    if not (2 <= n_lo <= n_hi):
-        raise GraphError("vertex count range must satisfy 2 <= lo <= hi")
-    if not (0 <= extra_lo <= extra_hi):
-        raise GraphError("extra edge range must satisfy 0 <= lo <= hi")
-    if not (1 <= lab_lo <= lab_hi):
-        raise GraphError("label count range must satisfy 1 <= lo <= hi")
     n = n_lo + rng.below(n_hi - n_lo + 1)
     extra = extra_lo + rng.below(extra_hi - extra_lo + 1)
     extra = min(extra, n * (n - 1) // 2 - (n - 1))
@@ -468,6 +468,7 @@ def random_instance(params: GeneratorParams) -> HedgeGraph:
     non-tree edges; labels drawn uniformly then repaired so each occurs.
     Deterministic given params.
     """
+    _check_ranges(params)
     return _random_instance(Rng(params.seed), params)
 
 
@@ -482,6 +483,7 @@ def search_counterexample(theorem: TheoremId, params: GeneratorParams,
     """
     if trials < 1:
         raise GraphError("at least one trial is required")
+    _check_ranges(params)
     n_lo, n_hi = params.n_range
     sizes = list(range(n_lo, n_hi + 1))
     per_size = -(-trials // len(sizes))

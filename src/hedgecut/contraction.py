@@ -7,9 +7,9 @@ label.  Clean-up (merging same-label parallels and same-label loops) is
 a separate step, never applied implicitly: the sequential rank/nullity
 accounting is only exact when parallel edges survive contraction.
 
-Merged vertices take the minimum original id of their component, and
-vertex ids are re-densified afterward (survivors keep their relative
-order), so all results are deterministic values.
+One renumbering (``_renumber``) gives each merged vertex the minimum
+original id of its component and re-densifies the survivors in order, so
+all results are deterministic values.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .graph import (
     _drop_labels,
     _join,
     _root,
-    hedge_view,
 )
 
 
@@ -65,24 +64,22 @@ class ContractionTrace:
         return sum(s.nullity_consumed for s in self.steps)
 
 
+def _renumber(class_of: Sequence[int]) -> tuple[int, ...]:
+    """Old-to-new vertex map: merged classes numbered by minimum member, ascending."""
+    new_id: dict[int, int] = {}  # an ascending scan meets each class first at its minimum
+    return tuple(new_id.setdefault(c, len(new_id)) for c in class_of)
+
+
 def _compact(g: HedgeGraph, class_of: Sequence[int], drop_edge_label: int | None,
              skip_edge: int | None = None) -> tuple[HedgeGraph, tuple[int, ...]]:
-    """Rebuild ``g`` after merging vertex classes.
+    """Rebuild ``g`` after merging the vertex classes ``class_of`` names.
 
-    ``class_of[v]`` names the merge class of vertex ``v``; each class is
-    renamed to its minimum member, then survivors are re-densified in
-    ascending old-id order.  Edges keep stored order; edges carrying
-    ``drop_edge_label`` and the edge at index ``skip_edge`` are removed,
-    and any label left without edges is dropped from the label set.
-    Returns the new graph and the old-to-new vertex map.
+    Edges keep stored order; edges carrying ``drop_edge_label`` and the
+    edge at index ``skip_edge`` are removed, and any label left without
+    edges is dropped from the label set.  Returns the new graph and the
+    old-to-new vertex map (see ``_renumber``).
     """
-    rep: dict[int, int] = {}
-    for v in range(g.n):  # ascending, so the first member seen is the minimum
-        rep.setdefault(class_of[v], v)
-    survivors = sorted(rep.values())
-    dense = {old: new for new, old in enumerate(survivors)}
-    vmap = tuple(dense[rep[class_of[v]]] for v in range(g.n))
-
+    vmap = _renumber(class_of)
     kept: list[tuple[int, int, int]] = []
     for idx, (u, v, lab) in enumerate(g.edges):
         if idx == skip_edge or lab == drop_edge_label:
@@ -91,7 +88,7 @@ def _compact(g: HedgeGraph, class_of: Sequence[int], drop_edge_label: int | None
     used = {lab for _, _, lab in kept}
     dropped = set(range(g.num_labels)) - used
     edges, labels = _drop_labels(kept, g.labels, dropped)
-    return HedgeGraph(len(survivors), edges, labels), vmap
+    return HedgeGraph(max(vmap) + 1, edges, labels), vmap
 
 
 def contract_edge(g: HedgeGraph, edge_index: int) -> tuple[HedgeGraph, int]:
@@ -112,13 +109,6 @@ def contract_edge(g: HedgeGraph, edge_index: int) -> tuple[HedgeGraph, int]:
     return out, vmap[u]
 
 
-def _contract_hedge_mapped(g: HedgeGraph, label: LabelRef) -> tuple[HedgeGraph, tuple[int, ...]]:
-    lab = g.label_id(label)
-    parent, _, _ = _join(g.n, [[(u, v) for u, v, e_lab in g.edges if e_lab == lab]], ())
-    class_of = [_root(parent, v) for v in range(g.n)]
-    return _compact(g, class_of, lab)
-
-
 def contract_hedge(g: HedgeGraph, label: LabelRef) -> HedgeGraph:
     """Contract every edge of one hedge.
 
@@ -127,7 +117,9 @@ def contract_hedge(g: HedgeGraph, label: LabelRef) -> HedgeGraph:
     loops), loops of other labels are kept, and the label is dropped
     from the label set.  No clean-up is applied.
     """
-    return _contract_hedge_mapped(g, label)[0]
+    lab = g.label_id(label)
+    parent, _, _ = _join(g.n, [[(u, v) for u, v, e_lab in g.edges if e_lab == lab]], ())
+    return _compact(g, [_root(parent, v) for v in range(g.n)], lab)[0]
 
 
 def cleanup(g: HedgeGraph) -> tuple[HedgeGraph, CleanupReport]:
@@ -156,26 +148,25 @@ def cleanup(g: HedgeGraph) -> tuple[HedgeGraph, CleanupReport]:
     return HedgeGraph(g.n, tuple(kept), g.labels), report
 
 
-def contraction_sequence(g: HedgeGraph, order: Sequence[LabelRef],
-                         apply_cleanup: bool = False) -> ContractionTrace:
+def contraction_sequence(g: HedgeGraph, order: Sequence[LabelRef]) -> ContractionTrace:
     """Contract every hedge of ``g`` in the given order.
 
     ``order`` must be a permutation of the label set (names or dense ids
-    of ``g``).  Each step records the rank and nullity of its hedge
-    measured immediately before contracting it; with ``apply_cleanup``
-    off these telescope to the rank and nullity of ``g`` itself.
-    Clean-up, when requested, runs between steps.
+    of ``g``).  Steps run on a flat edge list, never cleaned up: a hedge's
+    rank is the step's drop in vertex count, its nullity the rest of its
+    edges, and they telescope to the rank and nullity of ``g``.
     """
-    names = [g.label_name(g.label_id(ref)) for ref in order]
-    if sorted(names) != sorted(g.labels):
+    ids = [g.label_id(ref) for ref in order]
+    if sorted(ids) != list(range(g.num_labels)):
         raise GraphError("order must be a permutation of the label set")
-    current = g
+    n, edges = g.n, g.edges  # label ids stay those of g
     steps: list[ContractionStep] = []
-    for name in names:
-        view = hedge_view(current, name)
-        nxt, vmap = _contract_hedge_mapped(current, name)
-        steps.append(ContractionStep(name, view.rank, view.nullity, vmap))
-        current = nxt
-        if apply_cleanup:
-            current, _ = cleanup(current)
-    return ContractionTrace(tuple(steps), current)
+    for lab in ids:
+        pairs = [(u, v) for u, v, e_lab in edges if e_lab == lab]
+        parent, parts, _ = _join(n, [pairs], ())
+        vmap = _renumber([_root(parent, v) for v in range(n)])
+        rank = n - parts
+        steps.append(ContractionStep(g.labels[lab], rank, len(pairs) - rank, vmap))
+        n = parts
+        edges = [(vmap[u], vmap[v], e_lab) for u, v, e_lab in edges if e_lab != lab]
+    return ContractionTrace(tuple(steps), HedgeGraph(n, (), ()))  # no label is left

@@ -26,6 +26,17 @@ class ParseError(GraphError):
         self.line = line
 
 
+def _decimals(a: str, b: str, lineno: int, what: str) -> tuple[int, int]:
+    """Two ASCII decimal digit tokens as ints; bare ``int`` also takes ``+2`` and ``1_0``."""
+    digits = a + b
+    if digits.isdigit() and digits.isascii():
+        try:
+            return int(a), int(b)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ParseError(lineno, f"{what} must be decimal integers")
+
+
 def parse(text: str) -> HedgeGraph:
     """Parse HG1 text into a validated simple hedge graph."""
     header: tuple[int, int] | None = None
@@ -39,11 +50,8 @@ def parse(text: str) -> HedgeGraph:
             parts = line.split()
             if len(parts) != 3 or parts[0] != "HG1":
                 raise ParseError(lineno, "expected header 'HG1 <n> <m>'")
-            try:
-                n, m = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError(lineno, "header counts must be decimal integers") from None
-            if n < 1 or m < 0:
+            n, m = _decimals(parts[1], parts[2], lineno, "header counts")
+            if n < 1:
                 raise ParseError(lineno, "header counts out of range")
             header = (n, m)
             header_line = lineno
@@ -51,10 +59,7 @@ def parse(text: str) -> HedgeGraph:
         parts = line.split()
         if len(parts) != 3:
             raise ParseError(lineno, "expected 'u v label'")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(lineno, "vertex ids must be decimal integers") from None
+        u, v = _decimals(parts[0], parts[1], lineno, "vertex ids")
         if not (0 <= u < header[0] and 0 <= v < header[0]):
             raise ParseError(lineno, f"edge endpoint out of range: ({u}, {v})")
         if u == v:

@@ -341,6 +341,11 @@ class TestSearch:
         with pytest.raises(GraphError, match="at least one"):
             search_counterexample(TheoremId.VD_EQUALITY, SEARCH_PARAMS, trials=0)
 
+    def test_empty_vertex_range_rejected_before_any_trial(self):
+        # the size schedule divides by the range's length, so check it first
+        with pytest.raises(GraphError, match="vertex count range"):
+            search_counterexample(TheoremId.T1_MIN_DEG_BOUND, GeneratorParams(n_range=(5, 3)), 3)
+
     def test_universal_claims_survive_sampling(self):
         for theorem in sorted(UNIVERSAL_IDS):
             result = search_counterexample(theorem, SEARCH_PARAMS, trials=40)

@@ -258,6 +258,13 @@ class TestErrorHandling:
         assert result.returncode == 2
         assert "line 2" in result.stderr
 
+    def test_signed_vertex_id(self, tmp_path):
+        bad = tmp_path / "signed.hg"
+        bad.write_text("HG1 2 1\n0 +1 a\n")
+        result = run_cli("stats", str(bad))
+        assert result.returncode == 2
+        assert result.stderr == "error: line 2: vertex ids must be decimal integers\n"
+
     def test_non_ascii_file(self, tmp_path):
         bad = tmp_path / "accent.hg"
         bad.write_bytes("HG1 2 1\n0 1 caf\u00e9\n".encode("utf-8"))

@@ -1,6 +1,7 @@
 import pytest
 
 from hedgecut import (
+    GeneratorParams,
     GraphError,
     build_graph,
     cleanup,
@@ -9,6 +10,7 @@ from hedgecut import (
     contraction_sequence,
     graph_rank_nullity,
     hedge_view,
+    random_instance,
 )
 from hedgecut.graph import HedgeGraph
 
@@ -169,24 +171,32 @@ class TestContractionSequence:
         for order in (["a", "b"], ["b", "a"]):
             assert contraction_sequence(c4alt, order).total_rank_consumed == 3
 
-    def test_vertex_count_drops_by_rank_each_step(self, spider):
-        current = spider
-        for step in contraction_sequence(spider, list(spider.labels)).steps:
-            nxt = contract_hedge(current, step.label)
-            assert current.n - nxt.n == step.rank_consumed
-            assert len(step.vertex_map) == current.n
-            assert set(step.vertex_map) == set(range(nxt.n))
-            vmap = step.vertex_map
-            assert nxt.edges == tuple((vmap[u], vmap[v], nxt.label_id(current.labels[lab]))
-                                      for u, v, lab in current.edges
-                                      if current.labels[lab] != step.label)
-            current = nxt
-
-    def test_cleanup_mode_changes_nullity_totals(self, c4alt):
-        raw = contraction_sequence(c4alt, ["a", "b"], apply_cleanup=False)
-        cleaned = contraction_sequence(c4alt, ["a", "b"], apply_cleanup=True)
-        assert raw.total_nullity_consumed == 1
-        assert cleaned.total_nullity_consumed == 0  # merging parallels breaks telescoping
+    def test_vertex_count_drops_by_rank_each_step(self, c4alt, triangle, p3, spider, twoi,
+                                                  pendants, single_label_path):
+        # Each step on its own: replay it with contract_hedge and measure its
+        # hedge with hedge_view, so a miscount cannot hide in a telescoped sum.
+        graphs = [c4alt, triangle, p3, spider, twoi, pendants, single_label_path]
+        for seed in range(60):
+            g = random_instance(GeneratorParams((2, 9), (0, 6), (1, 5), seed=seed))
+            graphs += [g, contract_edge(g, seed % g.m)[0], contract_hedge(g, seed % g.num_labels)]
+        assert any(u == v for h in graphs for u, v, _ in h.edges)
+        assert any(len({frozenset((u, v)) for u, v, _ in h.edges}) < h.m for h in graphs)
+        for i, g in enumerate(graphs):
+            current = g
+            trace = contraction_sequence(g, list(g.labels)[::-1 if i % 2 else 1])
+            for step in trace.steps:
+                view = hedge_view(current, step.label)
+                nxt = contract_hedge(current, step.label)
+                assert (step.rank_consumed, step.nullity_consumed) == (view.rank, view.nullity)
+                assert current.n - nxt.n == step.rank_consumed
+                assert len(step.vertex_map) == current.n
+                assert set(step.vertex_map) == set(range(nxt.n))
+                vmap = step.vertex_map
+                assert nxt.edges == tuple((vmap[u], vmap[v], nxt.label_id(current.labels[lab]))
+                                          for u, v, lab in current.edges
+                                          if current.labels[lab] != step.label)
+                current = nxt
+            assert trace.final_graph == current
 
     def test_bad_permutation(self, c4alt):
         with pytest.raises(GraphError, match="permutation"):

@@ -28,6 +28,23 @@ class TestParse:
         with pytest.raises(ParseError, match="decimal"):
             parse("HG1 two 1\n0 1 a\n")
 
+    @pytest.mark.parametrize("text, line", [
+        ("HG1 1_0 1\n0 1 a\n", 1),
+        ("HG1 2 +1\n0 1 a\n", 1),
+        ("HG1 2 1\n0 +1 a\n", 2),
+        ("HG1 12 1\n0_1 2 a\n", 2),
+        ("HG1 2 1\n\u0660 1 a\n", 2),
+    ], ids=["count_underscore", "count_plus", "id_plus", "id_underscore", "id_arabic_indic"])
+    def test_only_ascii_decimal_digits(self, text, line):
+        # bare int() reads all of these tokens
+        with pytest.raises(ParseError, match="must be decimal integers") as err:
+            parse(text)
+        assert err.value.line == line
+
+    def test_overlong_count_is_a_parse_error(self):
+        with pytest.raises(ParseError):
+            parse("HG1 2 " + "9" * 5000 + "\n0 1 a\n")
+
     def test_loop_reports_its_line(self):
         with pytest.raises(ParseError, match="loop") as err:
             parse("HG1 2 1\n0 0 a\n")

@@ -66,7 +66,7 @@ def test_vertex_degree_sum_equality(g):
 def test_contraction_telescopes(data, g):
     order = data.draw(st.permutations(range(g.num_labels)))
     rank, nullity = graph_rank_nullity(g)
-    trace = contraction_sequence(g, order, apply_cleanup=False)
+    trace = contraction_sequence(g, order)
     assert trace.total_rank_consumed == rank
     assert trace.total_nullity_consumed == nullity
     assert trace.final_graph.n == 1  # generated instances are connected

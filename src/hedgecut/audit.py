@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
 from heapq import heapify, heappop, heappush
@@ -449,12 +450,17 @@ def _random_instance(rng: Rng, params: GeneratorParams) -> HedgeGraph:
 
     seq = [rng.below(n) for _ in range(n - 2)]
     pairs = _prufer_tree(n, seq)
-    in_tree = set(pairs)
-    candidates = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in in_tree]
+    # Partial Fisher-Yates over the ranks of the non-tree pairs, in lexicographic
+    # order, with a sparse swap dict; pair (u, v), u < v, has rank row[u] + v - u - 1.
+    row = [u * (2 * n - u - 1) // 2 for u in range(n)]
+    skip = [t - i for i, t in enumerate(sorted(row[u] + v - u - 1 for u, v in pairs))]
+    swap: dict[int, int] = {}
     for k in range(extra):
-        j = k + rng.below(len(candidates) - k)
-        candidates[k], candidates[j] = candidates[j], candidates[k]
-        pairs.append(candidates[k])
+        j = k + rng.below(n * (n - 1) // 2 - (n - 1) - k)
+        swap[k], swap[j] = swap.get(j, j), swap.get(k, k)
+        r = swap[k] + bisect_right(skip, swap[k])  # skips each tree rank at or below it
+        u = bisect_right(row, r) - 1
+        pairs.append((u, r - row[u] + u + 1))
 
     labels = [rng.below(num_labels) for _ in pairs]
     _repair_labels(labels, num_labels)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Collection
 
 from .graph import (
     Forests,
@@ -86,25 +85,13 @@ def _hedge_forests(g: HedgeGraph) -> Forests:
     return [_forest(p) for p in pairs]
 
 
-def _bipartition_after_removal(n: int, forests: Forests,
-                               labels: Collection[int]) -> tuple[frozenset[int], frozenset[int]]:
-    """Split the leftover components into (component of vertex 0, the rest)."""
-    parent, _, _ = _join(n, forests, labels)
-    r0 = _root(parent, 0)
-    side_a = frozenset(v for v in range(n) if _root(parent, v) == r0)
-    return side_a, frozenset(range(n)) - side_a
-
-
 def _certificate(g: HedgeGraph, labels: frozenset[int], method: str, exact: bool,
                  forests: Forests | None = None) -> CutCertificate:
-    if forests is None:
-        forests = _hedge_forests(g)
-    side_a, side_b = _bipartition_after_removal(g.n, forests, labels)
-    return CutCertificate(labels, side_a, side_b, method, exact)
-
-
-def _disconnected_certificate(g: HedgeGraph, method: str) -> CutCertificate:
-    return _certificate(g, frozenset(), method, True)
+    """The cut ``labels`` with side_a the component of vertex 0 once they are removed."""
+    parent, _, _ = _join(g.n, _hedge_forests(g) if forests is None else forests, labels)
+    r0 = _root(parent, 0)
+    side_a = frozenset(v for v in range(g.n) if _root(parent, v) == r0)
+    return CutCertificate(labels, side_a, frozenset(range(g.n)) - side_a, method, exact)
 
 
 def min_label_degree_bound(g: HedgeGraph) -> int:
@@ -139,7 +126,7 @@ def brute_force_connectivity(g: HedgeGraph, cap: int = 20) -> CutCertificate:
     if g.n < 2:
         raise GraphError("connectivity is undefined for a single vertex")
     if not is_connected(g):
-        return _disconnected_certificate(g, "brute")
+        return _certificate(g, frozenset(), "brute", True)
     if g.num_labels > cap:
         raise GraphError(f"label count {g.num_labels} exceeds the enumeration cap {cap}")
     bound = min(len(s) for s in _vertex_label_sets(g))
@@ -175,7 +162,7 @@ def ordinary_edge_min_cut(g: HedgeGraph) -> CutCertificate:
     if g.num_labels != g.m:
         raise GraphError("requires every label to appear on exactly one edge")
     if not is_connected(g):
-        return _disconnected_certificate(g, "fastpath")
+        return _certificate(g, frozenset(), "fastpath", True)
 
     weight = [[0] * g.n for _ in range(g.n)]
     for u, v, _ in g.edges:
@@ -314,10 +301,11 @@ def hedge_connectivity(g: HedgeGraph, method: str = "auto", cap: int = 20,
                        trials: int | None = None, base_seed: int = 0) -> CutCertificate:
     """Connectivity certificate via the cheapest applicable strategy.
 
-    Auto dispatch: disconnected graphs are 0-connected; a single label or
-    a vertex of label degree 1 forces connectivity exactly 1; singleton
-    hedges go to the deterministic min cut; at most ``cap`` labels go to
-    brute force; anything else gets randomized trials (not exact).
+    Auto dispatch: disconnected graphs are 0-connected; a vertex of label
+    degree 1 forces connectivity exactly 1 (every vertex of a single-label
+    graph is one); singleton hedges go to the deterministic min cut; at
+    most ``cap`` labels go to brute force; anything else gets randomized
+    trials (not exact).
     """
     if g.n < 2:
         raise GraphError("connectivity is undefined for a single vertex")
@@ -325,14 +313,12 @@ def hedge_connectivity(g: HedgeGraph, method: str = "auto", cap: int = 20,
         return brute_force_connectivity(g, cap)
     if method == "random":
         if not is_connected(g):
-            return _disconnected_certificate(g, "fastpath")
+            return _certificate(g, frozenset(), "fastpath", True)
         return randomized_connectivity(g, trials, base_seed)
     if method != "auto":
         raise GraphError(f"unknown method {method!r}")
     if not is_connected(g):
-        return _disconnected_certificate(g, "fastpath")
-    if g.num_labels == 1:
-        return _certificate(g, frozenset({0}), "fastpath", True)
+        return _certificate(g, frozenset(), "fastpath", True)
     sets = _vertex_label_sets(g)
     if min(len(s) for s in sets) == 1:
         # all edges at such a vertex carry one label; removing it isolates the vertex

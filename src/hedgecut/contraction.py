@@ -7,9 +7,9 @@ label.  Clean-up (merging same-label parallels and same-label loops) is
 a separate step, never applied implicitly: the sequential rank/nullity
 accounting is only exact when parallel edges survive contraction.
 
-One renumbering (``_renumber``) gives each merged vertex the minimum
-original id of its component and re-densifies the survivors in order, so
-all results are deterministic values.
+One vertex merge (``_merge``) numbers each merged class by its minimum
+original id, in ascending order, and ``graph._rebuild`` re-densifies the
+surviving labels in id order, so all results are deterministic values.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from .graph import (
     GraphError,
     HedgeGraph,
     LabelRef,
-    _drop_labels,
     _join,
+    _rebuild,
     _root,
 )
 
@@ -64,31 +64,11 @@ class ContractionTrace:
         return sum(s.nullity_consumed for s in self.steps)
 
 
-def _renumber(class_of: Sequence[int]) -> tuple[int, ...]:
-    """Old-to-new vertex map: merged classes numbered by minimum member, ascending."""
+def _merge(n: int, pairs: list[tuple[int, int]]) -> tuple[int, ...]:
+    """Old-to-new vertex map merging ``pairs``: classes numbered by minimum member, ascending."""
+    parent, _, _ = _join(n, [pairs], ())
     new_id: dict[int, int] = {}  # an ascending scan meets each class first at its minimum
-    return tuple(new_id.setdefault(c, len(new_id)) for c in class_of)
-
-
-def _compact(g: HedgeGraph, class_of: Sequence[int], drop_edge_label: int | None,
-             skip_edge: int | None = None) -> tuple[HedgeGraph, tuple[int, ...]]:
-    """Rebuild ``g`` after merging the vertex classes ``class_of`` names.
-
-    Edges keep stored order; edges carrying ``drop_edge_label`` and the
-    edge at index ``skip_edge`` are removed, and any label left without
-    edges is dropped from the label set.  Returns the new graph and the
-    old-to-new vertex map (see ``_renumber``).
-    """
-    vmap = _renumber(class_of)
-    kept: list[tuple[int, int, int]] = []
-    for idx, (u, v, lab) in enumerate(g.edges):
-        if idx == skip_edge or lab == drop_edge_label:
-            continue
-        kept.append((vmap[u], vmap[v], lab))
-    used = {lab for _, _, lab in kept}
-    dropped = set(range(g.num_labels)) - used
-    edges, labels = _drop_labels(kept, g.labels, dropped)
-    return HedgeGraph(max(vmap) + 1, edges, labels), vmap
+    return tuple(new_id.setdefault(_root(parent, v), len(new_id)) for v in range(n))
 
 
 def contract_edge(g: HedgeGraph, edge_index: int) -> tuple[HedgeGraph, int]:
@@ -103,10 +83,9 @@ def contract_edge(g: HedgeGraph, edge_index: int) -> tuple[HedgeGraph, int]:
     u, v, _ = g.edges[edge_index]
     if u == v:
         raise GraphError(f"cannot contract the loop at vertex {u}")
-    class_of = list(range(g.n))
-    class_of[max(u, v)] = min(u, v)
-    out, vmap = _compact(g, class_of, None, skip_edge=edge_index)
-    return out, vmap[u]
+    vmap = _merge(g.n, [(u, v)])
+    edges = [(vmap[a], vmap[b], lab) for i, (a, b, lab) in enumerate(g.edges) if i != edge_index]
+    return _rebuild(g.n - 1, edges, g.labels), vmap[u]
 
 
 def contract_hedge(g: HedgeGraph, label: LabelRef) -> HedgeGraph:
@@ -118,8 +97,9 @@ def contract_hedge(g: HedgeGraph, label: LabelRef) -> HedgeGraph:
     from the label set.  No clean-up is applied.
     """
     lab = g.label_id(label)
-    parent, _, _ = _join(g.n, [[(u, v) for u, v, e_lab in g.edges if e_lab == lab]], ())
-    return _compact(g, [_root(parent, v) for v in range(g.n)], lab)[0]
+    vmap = _merge(g.n, [(u, v) for u, v, e_lab in g.edges if e_lab == lab])
+    edges = [(vmap[u], vmap[v], e_lab) for u, v, e_lab in g.edges if e_lab != lab]
+    return _rebuild(max(vmap) + 1, edges, g.labels)
 
 
 def cleanup(g: HedgeGraph) -> tuple[HedgeGraph, CleanupReport]:
@@ -163,10 +143,9 @@ def contraction_sequence(g: HedgeGraph, order: Sequence[LabelRef]) -> Contractio
     steps: list[ContractionStep] = []
     for lab in ids:
         pairs = [(u, v) for u, v, e_lab in edges if e_lab == lab]
-        parent, parts, _ = _join(n, [pairs], ())
-        vmap = _renumber([_root(parent, v) for v in range(n)])
-        rank = n - parts
+        vmap = _merge(n, pairs)
+        rank = n - (max(vmap) + 1)
         steps.append(ContractionStep(g.labels[lab], rank, len(pairs) - rank, vmap))
-        n = parts
+        n -= rank
         edges = [(vmap[u], vmap[v], e_lab) for u, v, e_lab in edges if e_lab != lab]
     return ContractionTrace(tuple(steps), HedgeGraph(n, (), ()))  # no label is left

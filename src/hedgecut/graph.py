@@ -9,7 +9,8 @@ contain loops and parallel edges.
 Two merge routines serve the whole package: ``_forest`` keeps a spanning
 forest of a sparse pair set and gives every rank; ``_join`` (with
 ``_root``) is the one union-find over all vertices 0..n-1, behind the
-connectivity test, hedge contraction and every cut's sides.
+connectivity test, every contraction and every cut's sides.  ``_rebuild``
+builds every derived graph (contraction, removal).
 """
 
 from __future__ import annotations
@@ -80,9 +81,6 @@ class HedgeGraph:
         if not (0 <= label < len(self.labels)):
             raise GraphError(f"unknown label id {label}")
         return label
-
-    def label_name(self, label_id: int) -> str:
-        return self.labels[self.label_id(label_id)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -255,12 +253,12 @@ def degree_summary(g: HedgeGraph) -> tuple[int, int, int]:
     return min(degs), max(degs), sum(degs)
 
 
-def _drop_labels(edges: Sequence[Edge], labels: tuple[str, ...], dropped: set[int]) -> tuple[tuple[Edge, ...], tuple[str, ...]]:
-    """Re-densify label ids after removing every edge of the dropped labels."""
-    keep = [i for i in range(len(labels)) if i not in dropped]
-    remap = {old: new for new, old in enumerate(keep)}
-    new_edges = tuple((u, v, remap[lab]) for u, v, lab in edges)
-    return new_edges, tuple(labels[i] for i in keep)
+def _rebuild(n: int, edges: list[Edge], names: tuple[str, ...]) -> HedgeGraph:
+    """A derived graph: labels left without an edge are dropped, the rest kept in id order."""
+    used = sorted({lab for _, _, lab in edges})
+    remap = {old: new for new, old in enumerate(used)}
+    return HedgeGraph(n, tuple((u, v, remap[lab]) for u, v, lab in edges),
+                      tuple(names[i] for i in used))
 
 
 def remove_hedges(g: HedgeGraph, labels: Iterable[LabelRef]) -> HedgeGraph:
@@ -268,9 +266,7 @@ def remove_hedges(g: HedgeGraph, labels: Iterable[LabelRef]) -> HedgeGraph:
     drop = {g.label_id(lab) for lab in labels}
     if not drop:
         return g
-    kept = [e for e in g.edges if e[2] not in drop]
-    new_edges, new_labels = _drop_labels(kept, g.labels, drop)
-    return HedgeGraph(g.n, new_edges, new_labels)
+    return _rebuild(g.n, [e for e in g.edges if e[2] not in drop], g.labels)
 
 
 def is_connected(g: HedgeGraph) -> bool:

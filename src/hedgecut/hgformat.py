@@ -42,6 +42,7 @@ def parse(text: str) -> HedgeGraph:
     header: tuple[int, int] | None = None
     header_line = 0
     edges: list[tuple[int, int, str]] = []
+    seen_pairs: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -64,6 +65,10 @@ def parse(text: str) -> HedgeGraph:
             raise ParseError(lineno, f"edge endpoint out of range: ({u}, {v})")
         if u == v:
             raise ParseError(lineno, f"loop at vertex {u} not allowed in input")
+        pair = (u, v) if u < v else (v, u)
+        if pair in seen_pairs:
+            raise ParseError(lineno, f"duplicate edge between {pair[0]} and {pair[1]} in input")
+        seen_pairs.add(pair)
         edges.append((u, v, parts[2]))
         if len(edges) > header[1]:
             raise ParseError(lineno, f"more than {header[1]} data lines")

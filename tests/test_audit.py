@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import pytest
 
@@ -299,6 +300,17 @@ class TestGenerator:
     def test_label_names_are_dense(self):
         g = random_instance(GeneratorParams(seed=9))
         assert set(g.labels) == {f"l{i}" for i in range(g.num_labels)}
+
+    def test_memory_not_quadratic_in_vertex_count(self):
+        # listing all ~2 million vertex pairs would peak near 190 MB
+        tracemalloc.start()
+        try:
+            g = random_instance(GeneratorParams((2000, 2000), (3, 3), (1, 5), seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.m == 2002 and is_connected(g)
+        assert peak < 20_000_000
 
 
 SEARCH_PARAMS = GeneratorParams(n_range=(2, 7), extra_range=(0, 3), label_range=(1, 5), seed=11)

@@ -11,8 +11,36 @@ from hedgecut import (
     graph_rank_nullity,
     hedge_view,
     random_instance,
+    remove_hedges,
 )
 from hedgecut.graph import HedgeGraph
+
+
+def _derived(g, merged, keep):
+    """The graph ``g`` becomes after merging the vertex pairs ``merged`` and
+    keeping the edges ``keep(index, edge)`` selects, built from scratch:
+    classes numbered by minimum member, ascending; kept edges in stored
+    order; surviving label names in id order.  Returns it and the class map.
+    """
+    adj = [[] for _ in range(g.n)]
+    for u, v in merged:
+        adj[u].append(v)
+        adj[v].append(u)
+    low = [None] * g.n  # minimum member of each vertex's class
+    for s in range(g.n):
+        if low[s] is None:
+            low[s] = s
+            queue = [s]
+            for x in queue:
+                for y in adj[x]:
+                    if low[y] is None:
+                        low[y] = s
+                        queue.append(y)
+    cls = [sorted(set(low)).index(c) for c in low]
+    kept = [e for i, e in enumerate(g.edges) if keep(i, e)]
+    used = sorted({lab for _, _, lab in kept})
+    edges = tuple((cls[u], cls[v], used.index(lab)) for u, v, lab in kept)
+    return HedgeGraph(max(cls) + 1, edges, tuple(g.labels[lab] for lab in used)), cls
 
 
 class TestContractEdge:
@@ -120,6 +148,36 @@ class TestContractHedge:
     def test_unknown_label(self, c4alt):
         with pytest.raises(GraphError, match="unknown label"):
             contract_hedge(c4alt, "zzz")
+
+
+class TestDerivedGraphOracle:
+    def test_min_member_numbering(self):
+        # {0, 3} keeps id 0; numbering classes by maximum member would give (0, 1), (1, 2)
+        g = build_graph(4, [(0, 3, "a"), (1, 2, "b"), (2, 3, "c")])
+        assert contract_hedge(g, "a") == HedgeGraph(3, ((1, 2, 0), (2, 0, 1)), ("b", "c"))
+
+    def test_every_contraction_and_removal(self, c4alt, triangle, p3, spider, twoi,
+                                           pendants, single_label_path):
+        graphs = [c4alt, triangle, p3, spider, twoi, pendants, single_label_path,
+                  build_graph(4, [(0, 3, "a"), (1, 2, "b"), (2, 3, "c")])]
+        for seed in range(60):
+            g = random_instance(GeneratorParams((2, 9), (0, 6), (1, 5), seed=seed))
+            graphs += [g, contract_edge(g, seed % g.m)[0], contract_hedge(g, seed % g.num_labels)]
+        assert any(u == v for h in graphs for u, v, _ in h.edges)
+        assert any(len({frozenset((u, v)) for u, v, _ in h.edges}) < h.m for h in graphs)
+        checked = 0
+        for g in graphs:
+            for i, (u, v, _) in enumerate(g.edges):
+                if u != v:
+                    want, cls = _derived(g, [(u, v)], lambda j, e: j != i)
+                    assert contract_edge(g, i) == (want, cls[u])
+                    checked += 1
+            for lab in range(g.num_labels):
+                pairs = [(u, v) for u, v, e_lab in g.edges if e_lab == lab]
+                assert contract_hedge(g, lab) == _derived(g, pairs, lambda j, e: e[2] != lab)[0]
+                assert remove_hedges(g, [lab]) == _derived(g, [], lambda j, e: e[2] != lab)[0]
+                checked += 2
+        assert checked > 1000
 
 
 class TestCleanup:

@@ -58,7 +58,6 @@ class TestBuildGraph:
     def test_label_lookup(self, c4alt):
         assert c4alt.label_id("b") == 1
         assert c4alt.label_id(0) == 0
-        assert c4alt.label_name(1) == "b"
         with pytest.raises(GraphError, match="unknown label"):
             c4alt.label_id("zzz")
 

@@ -56,8 +56,9 @@ class TestParse:
         assert err.value.line == 3
 
     def test_duplicate_pair_reported(self):
-        with pytest.raises(ParseError, match="duplicate"):
+        with pytest.raises(ParseError, match="duplicate") as err:
             parse("HG1 3 2\n0 1 a\n1 0 b\n")
+        assert err.value.line == 3
 
     def test_edge_count_mismatch(self):
         with pytest.raises(ParseError, match="declares 2 edges, found 1"):

@@ -9,9 +9,8 @@ vertex always end up with distinct new labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-from .graph import GraphError, HedgeGraph, _vertex_label_sets
+from .graph import HedgeGraph, _vertex_label_sets
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,23 +53,18 @@ def max_adjacency_degree(g: HedgeGraph) -> int:
     return max((adj.degree(i) for i in range(g.num_labels)), default=0)
 
 
-def greedy_relabel(g: HedgeGraph, order: Sequence[int] | None = None) -> Relabeling:
+def greedy_relabel(g: HedgeGraph) -> Relabeling:
     """Proper coloring of the hedge adjacency graph by greedy assignment.
 
     Hedges are processed in decreasing adjacency degree (ties by
-    ascending label id) unless an explicit ``order`` permutation of
-    label ids is given; each takes the smallest color unused among its
+    ascending label id); each takes the smallest color unused among its
     already-colored neighbors.  Uses at most max adjacency degree + 1
     colors.
     """
     adj = adjacency_graph(g)
     ids = list(range(g.num_labels))
-    if order is None:
-        order = sorted(ids, key=lambda i: (-adj.degree(i), i))
-    elif sorted(order) != ids:
-        raise GraphError("order must be a permutation of the label ids")
     colors: dict[int, int] = {}
-    for i in order:
+    for i in sorted(ids, key=lambda i: (-adj.degree(i), i)):
         taken = {colors[j] for j in adj.neighbors[i] if j in colors}
         c = 0
         while c in taken:

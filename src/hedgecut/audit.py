@@ -33,6 +33,8 @@ from .graph import (GraphError, HedgeGraph, _vertex_label_sets, build_graph, gra
 from .hgformat import ParseError, emit, parse
 from .rng import Rng, mix
 
+_ORDER_DRAWS = 5  # label shuffles per instance for the per-order claims; repeats are kept once
+
 
 class TheoremId(str, Enum):
     T1_MIN_DEG_BOUND = "T1_MIN_DEG_BOUND"
@@ -135,11 +137,11 @@ def _chromatic_number(neighbors: Sequence[frozenset[int]]) -> int:
     return count
 
 
-def _sample_orders(g: HedgeGraph, digest: str, count: int = 5) -> list[list[str]]:
+def _sample_orders(g: HedgeGraph, digest: str) -> list[list[str]]:
     """Deterministic sample of label permutations, seeded by the instance."""
     rng = Rng(int(digest[:16], 16))
     orders: list[list[str]] = []
-    for _ in range(count):
+    for _ in range(_ORDER_DRAWS):
         names = list(g.labels)
         rng.shuffle(names)
         if names not in orders:

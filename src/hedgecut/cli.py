@@ -43,7 +43,10 @@ def _load(path: str) -> HedgeGraph:
     return parse(text)
 
 
-def _default_seed() -> int:
+def _seed(args: argparse.Namespace) -> int:
+    """--seed when given, else HEDGECUT_SEED, else 0."""
+    if args.seed is not None:
+        return args.seed
     raw = os.environ.get("HEDGECUT_SEED")
     if raw is None:
         return 0
@@ -107,9 +110,8 @@ def _cmd_connectivity(args: argparse.Namespace) -> int:
     if args.trials is not None and args.trials < 0:
         raise GraphError("--trials must be nonnegative")
     g = _load(args.file)
-    seed = args.seed if args.seed is not None else _default_seed()
     cert = hedge_connectivity(g, method=args.method, cap=args.cap,
-                              trials=args.trials, base_seed=seed)
+                              trials=args.trials, base_seed=_seed(args))
     cut = ",".join(g.labels[i] for i in sorted(cert.labels))
     side_a = ",".join(str(v) for v in sorted(cert.side_a))
     side_b = ",".join(str(v) for v in sorted(cert.side_b))
@@ -166,7 +168,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     if args.file is not None:
         run(_load(args.file))
     else:
-        seed = args.seed if args.seed is not None else _default_seed()
+        seed = _seed(args)
         params = _parse_params(args.params, seed)
         for t in range(args.trials):
             run(random_instance(replace(params, seed=mix(seed, t))))
@@ -174,8 +176,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    params = _parse_params(args.params, seed)
+    params = _parse_params(args.params, _seed(args))
     print(emit(random_instance(params)), end="")
     return 0
 

@@ -94,11 +94,16 @@ def _certificate(g: HedgeGraph, labels: frozenset[int], method: str, exact: bool
     return CutCertificate(labels, side_a, frozenset(range(g.n)) - side_a, method, exact)
 
 
-def min_label_degree_bound(g: HedgeGraph) -> int:
-    """Minimum label degree; always an upper bound on the connectivity."""
+def _connected(g: HedgeGraph) -> bool:
+    """Entry guard of every connectivity function: is_connected(g), for n >= 2 only."""
     if g.n < 2:
         raise GraphError("connectivity is undefined for a single vertex")
-    if not is_connected(g):
+    return is_connected(g)
+
+
+def min_label_degree_bound(g: HedgeGraph) -> int:
+    """Minimum label degree; always an upper bound on the connectivity."""
+    if not _connected(g):
         raise GraphError("degree bound requires a connected graph")
     return min(len(s) for s in _vertex_label_sets(g))
 
@@ -123,9 +128,7 @@ def brute_force_connectivity(g: HedgeGraph, cap: int = 20) -> CutCertificate:
     the graph, the labels whose edges did the merging hold a spanning
     tree, and a later subset that avoids all of them is skipped untested.
     """
-    if g.n < 2:
-        raise GraphError("connectivity is undefined for a single vertex")
-    if not is_connected(g):
+    if not _connected(g):
         return _certificate(g, frozenset(), "brute", True)
     if g.num_labels > cap:
         raise GraphError(f"label count {g.num_labels} exceeds the enumeration cap {cap}")
@@ -157,11 +160,10 @@ def ordinary_edge_min_cut(g: HedgeGraph) -> CutCertificate:
     vertices of a maximum-adjacency sweep, keep the best phase cut).
     Ties in the sweep go to the smallest vertex id.
     """
-    if g.n < 2:
-        raise GraphError("connectivity is undefined for a single vertex")
+    connected = _connected(g)
     if g.num_labels != g.m:
         raise GraphError("requires every label to appear on exactly one edge")
-    if not is_connected(g):
+    if not connected:
         return _certificate(g, frozenset(), "fastpath", True)
 
     weight = [[0] * g.n for _ in range(g.n)]
@@ -255,9 +257,7 @@ def randomized_contraction_cut(g: HedgeGraph, seed: int) -> CutCertificate:
     crossing the final vertex groups form the candidate cut; side_a is
     the group of vertex 0.
     """
-    if g.n < 2:
-        raise GraphError("connectivity is undefined for a single vertex")
-    if not is_connected(g):
+    if not _connected(g):
         raise GraphError("contraction trials require a connected graph")
     return _contraction_trial(g.n, _hedge_forests(g), seed)
 
@@ -276,9 +276,7 @@ def randomized_connectivity(g: HedgeGraph, trials: int | None = None,
     earliest trial.  With zero trials the minimum-degree-vertex cut is
     returned as a fallback.
     """
-    if g.n < 2:
-        raise GraphError("connectivity is undefined for a single vertex")
-    if not is_connected(g):
+    if not _connected(g):
         raise GraphError("contraction trials require a connected graph")
     if trials is None:
         trials = default_trial_count(g.num_labels)
@@ -307,18 +305,15 @@ def hedge_connectivity(g: HedgeGraph, method: str = "auto", cap: int = 20,
     most ``cap`` labels go to brute force; anything else gets randomized
     trials (not exact).
     """
-    if g.n < 2:
-        raise GraphError("connectivity is undefined for a single vertex")
     if method == "brute":
         return brute_force_connectivity(g, cap)
-    if method == "random":
-        if not is_connected(g):
-            return _certificate(g, frozenset(), "fastpath", True)
-        return randomized_connectivity(g, trials, base_seed)
-    if method != "auto":
+    connected = _connected(g)
+    if method not in ("auto", "random"):
         raise GraphError(f"unknown method {method!r}")
-    if not is_connected(g):
+    if not connected:
         return _certificate(g, frozenset(), "fastpath", True)
+    if method == "random":
+        return randomized_connectivity(g, trials, base_seed)
     sets = _vertex_label_sets(g)
     if min(len(s) for s in sets) == 1:
         # all edges at such a vertex carry one label; removing it isolates the vertex

@@ -6,6 +6,11 @@ networking analogue is a shared-risk link group).  Freshly built graphs
 must be simple; graphs produced by operations (contraction, removal) may
 contain loops and parallel edges.
 
+Each input rule has one home: ``HedgeGraph`` checks what every graph
+obeys (n >= 1, endpoints and label ids in range, every label used, label
+names unique nonempty whitespace-free strings), ``build_graph`` only the
+simple-input rules, and ``hgformat.parse`` only the HG1 syntax.
+
 Two merge routines serve the whole package: ``_forest`` keeps a spanning
 forest of a sparse pair set and gives every rank; ``_join`` (with
 ``_root``) is the one union-find over all vertices 0..n-1, behind the
@@ -24,11 +29,19 @@ Forests = list[list[tuple[int, int]]]  # label id -> (u, v) pairs, usually a spa
 
 
 class GraphError(ValueError):
-    """Invalid graph input or an operation applied outside its domain."""
+    """Invalid graph input or an operation applied outside its domain.
+
+    ``edge`` is the index of the offending edge when one edge breaks a
+    rule (endpoint or label id out of range, loop, repeated pair), else None.
+    """
+
+    def __init__(self, message: str, edge: int | None = None):
+        super().__init__(message)
+        self.edge = edge
 
 
-def _valid_label_name(name: str) -> bool:
-    return bool(name) and not any(ch.isspace() for ch in name)
+def _bad_label(name: object) -> GraphError:
+    return GraphError(f"label name {name!r} must be a nonempty whitespace-free token")
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,22 +59,22 @@ class HedgeGraph:
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        if self.n < 1:
+        n, k, edges = self.n, len(self.labels), self.edges
+        if n < 1:
             raise GraphError("vertex count must be at least 1")
-        used = set()
-        for u, v, lab in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise GraphError(f"edge endpoint out of range: ({u}, {v})")
-            if not (0 <= lab < len(self.labels)):
-                raise GraphError(f"edge label id out of range: {lab}")
-            used.add(lab)
-        if used != set(range(len(self.labels))):
+        for u, v, lab in edges:  # a failing edge's index is found only once it fails
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphError(f"edge endpoint out of range: ({u}, {v})", edges.index((u, v, lab)))
+            if not (0 <= lab < k):
+                raise GraphError(f"edge label id out of range: {lab}", edges.index((u, v, lab)))
+        if len({lab for _, _, lab in edges}) != k:
             raise GraphError("every label must appear on at least one edge")
-        if len(set(self.labels)) != len(self.labels):
-            raise GraphError("label names must be unique")
         for name in self.labels:
-            if not _valid_label_name(name):
-                raise GraphError(f"label name {name!r} must be a nonempty whitespace-free token")
+            # str.split() splits at exactly the characters str.isspace() accepts
+            if not (isinstance(name, str) and name.split() == [name]):
+                raise _bad_label(name)
+        if len(set(self.labels)) != k:
+            raise GraphError("label names must be unique")
 
     @property
     def m(self) -> int:
@@ -107,36 +120,30 @@ class HedgeView:
 
 
 def build_graph(n: int, edge_list: Sequence[tuple[int, int, str]]) -> HedgeGraph:
-    """Build and validate a simple hedge graph from (u, v, label) triples.
+    """Build a simple hedge graph from (u, v, label) triples.
 
-    Labels are interned to dense ids in first-appearance order.  Input must
-    be simple: no loops and no repeated unordered vertex pair (regardless of
-    label).  Disconnected input is accepted.
+    Labels are interned to dense ids in first-appearance order.  Checks
+    only the simple-input rules: no loops, no repeated unordered vertex
+    pair (regardless of label), and edges when n >= 2; ``HedgeGraph``
+    checks the rest.  Disconnected input is accepted.
     """
-    if n < 1:
-        raise GraphError("vertex count must be at least 1")
     if not edge_list and n >= 2:
         raise GraphError("empty edge list for a graph with 2 or more vertices")
     interned: dict[str, int] = {}
-    names: list[str] = []
     edges: list[Edge] = []
     seen_pairs: set[tuple[int, int]] = set()
     for u, v, name in edge_list:
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"edge endpoint out of range: ({u}, {v})")
         if u == v:
-            raise GraphError(f"loop at vertex {u} not allowed in input")
+            raise GraphError(f"loop at vertex {u} not allowed in input", len(edges))
         pair = (u, v) if u < v else (v, u)
         if pair in seen_pairs:
-            raise GraphError(f"duplicate edge between {pair[0]} and {pair[1]} in input")
+            raise GraphError(f"duplicate edge between {pair[0]} and {pair[1]} in input", len(edges))
         seen_pairs.add(pair)
-        if not isinstance(name, str) or not _valid_label_name(name):
-            raise GraphError(f"label {name!r} must be a nonempty whitespace-free string")
-        if name not in interned:
-            interned[name] = len(names)
-            names.append(name)
-        edges.append((u, v, interned[name]))
-    return HedgeGraph(n, tuple(edges), tuple(names))
+        try:
+            edges.append((u, v, interned.setdefault(name, len(interned))))
+        except TypeError:  # unhashable, so not a str
+            raise _bad_label(name) from None
+    return HedgeGraph(n, tuple(edges), tuple(interned))
 
 
 def _forest(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:

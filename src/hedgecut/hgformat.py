@@ -8,9 +8,11 @@ Layout::
 
 ``#`` starts a comment running to end of line; blank lines are ignored.
 Labels are whitespace-free tokens.  ``parse`` accepts simple graphs only
-(the input contract); ``emit`` serializes any hedge graph, writing edges
-in stored order, so first appearances of label names follow dense-id
-order and ``parse(emit(g))`` reproduces a parseable ``g`` bit-exactly.
+(the input contract) but checks only syntax, reporting a syntax fault
+before any graph fault.  ``emit`` serializes any hedge graph, writing
+edges in stored order, so first appearances of label names follow
+dense-id order and ``parse(emit(g))`` reproduces a parseable ``g``
+bit-exactly.
 """
 
 from __future__ import annotations
@@ -38,11 +40,15 @@ def _decimals(a: str, b: str, lineno: int, what: str) -> tuple[int, int]:
 
 
 def parse(text: str) -> HedgeGraph:
-    """Parse HG1 text into a validated simple hedge graph."""
+    """Parse HG1 text into a validated simple hedge graph.
+
+    ``build_graph`` checks the graph rules; a fault in one edge is
+    reported at that edge's line, any other at the header's.
+    """
     header: tuple[int, int] | None = None
     header_line = 0
     edges: list[tuple[int, int, str]] = []
-    seen_pairs: set[tuple[int, int]] = set()
+    edge_lines: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -61,15 +67,8 @@ def parse(text: str) -> HedgeGraph:
         if len(parts) != 3:
             raise ParseError(lineno, "expected 'u v label'")
         u, v = _decimals(parts[0], parts[1], lineno, "vertex ids")
-        if not (0 <= u < header[0] and 0 <= v < header[0]):
-            raise ParseError(lineno, f"edge endpoint out of range: ({u}, {v})")
-        if u == v:
-            raise ParseError(lineno, f"loop at vertex {u} not allowed in input")
-        pair = (u, v) if u < v else (v, u)
-        if pair in seen_pairs:
-            raise ParseError(lineno, f"duplicate edge between {pair[0]} and {pair[1]} in input")
-        seen_pairs.add(pair)
         edges.append((u, v, parts[2]))
+        edge_lines.append(lineno)
         if len(edges) > header[1]:
             raise ParseError(lineno, f"more than {header[1]} data lines")
     if header is None:
@@ -80,7 +79,8 @@ def parse(text: str) -> HedgeGraph:
     try:
         return build_graph(n, edges)
     except GraphError as exc:
-        raise ParseError(header_line, str(exc)) from None
+        line = header_line if exc.edge is None else edge_lines[exc.edge]
+        raise ParseError(line, str(exc)) from None
 
 
 def emit(g: HedgeGraph) -> str:

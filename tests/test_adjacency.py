@@ -1,7 +1,6 @@
 import pytest
 
 from hedgecut import (
-    GraphError,
     adjacency_graph,
     build_graph,
     degree_summary,
@@ -86,18 +85,6 @@ class TestGreedyRelabel:
             for u, v, lab in g.edges:
                 for vertex in (u, v):
                     assert adj.degree(lab) >= label_degree(g, vertex) - 1
-
-    def test_explicit_order_mode(self, spider):
-        ids = list(range(spider.num_labels))
-        explicit = greedy_relabel(spider, order=list(reversed(ids)))
-        adj = adjacency_graph(spider)
-        for r, t in adj.edges:
-            assert explicit.colors[r] != explicit.colors[t]
-        assert explicit.num_colors <= max_adjacency_degree(spider) + 1
-        with pytest.raises(GraphError, match="permutation"):
-            greedy_relabel(spider, order=[0, 0, 1, 2])
-        with pytest.raises(GraphError, match="permutation"):
-            greedy_relabel(spider, order=[0, 1, 2])
 
     def test_colors_are_dense_from_zero(self, spider, triangle):
         for g in (spider, triangle):

@@ -30,6 +30,19 @@ def k2():
     return build_graph(2, [(0, 1, "a")])
 
 
+@pytest.mark.parametrize("call", [
+    min_label_degree_bound,
+    brute_force_connectivity,
+    ordinary_edge_min_cut,
+    lambda g: randomized_contraction_cut(g, 0),
+    randomized_connectivity,
+    lambda g: hedge_connectivity(g, method="random"),
+], ids=["degree_bound", "brute", "edge_min_cut", "one_trial", "trials", "random_dispatch"])
+def test_every_entry_point_rejects_a_single_vertex(call):
+    with pytest.raises(GraphError, match="^connectivity is undefined for a single vertex$"):
+        call(build_graph(1, []))
+
+
 class TestDegreeBound:
     def test_examples(self, c4alt, triangle, p3, spider, single_label_path):
         assert min_label_degree_bound(c4alt) == 2

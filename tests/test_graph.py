@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hedgecut import (
     GraphError,
@@ -55,11 +56,108 @@ class TestBuildGraph:
         with pytest.raises(GraphError, match="at least one edge"):
             HedgeGraph(2, ((0, 1, 0),), ("a", "b"))
 
+    def test_non_str_label_names_rejected(self):
+        # GraphError, not a TypeError from the whitespace scan or from
+        # interning an unhashable name
+        with pytest.raises(GraphError, match="label name 5 must be"):
+            HedgeGraph(2, ((0, 1, 0),), (5,))
+        with pytest.raises(GraphError, match=r"label name \['a'\] must be"):
+            build_graph(2, [(0, 1, ["a"])])
+
     def test_label_lookup(self, c4alt):
         assert c4alt.label_id("b") == 1
         assert c4alt.label_id(0) == 0
         with pytest.raises(GraphError, match="unknown label"):
             c4alt.label_id("zzz")
+
+
+def _reference_build(n, triples):
+    """What build_graph must do, written independently of it.
+
+    Returns ("ok", edges, names) or ("fault", kind, edge index or None).
+    The checks run in the documented layer order: build_graph's pass over
+    the edges (loop, repeated pair, then interning, which fails for an
+    unhashable name), then HedgeGraph's vertex count, endpoint ranges and
+    label names.
+    """
+    if n >= 2 and not triples:
+        return ("fault", "empty edge list", None)
+    pairs = []
+    names = []
+    for i, (u, v, name) in enumerate(triples):
+        if u == v:
+            return ("fault", "loop", i)
+        if {u, v} in pairs:
+            return ("fault", "duplicate", i)
+        pairs.append({u, v})
+        try:
+            hash(name)
+        except TypeError:
+            return ("fault", "label name", None)
+        if name not in names:
+            names.append(name)
+    if n < 1:
+        return ("fault", "vertex count", None)
+    for i, (u, v, _) in enumerate(triples):
+        if u not in range(n) or v not in range(n):
+            return ("fault", "out of range", i)
+    for name in names:
+        if type(name) is not str or name == "" or any(ch.isspace() for ch in name):
+            return ("fault", "label name", None)
+    edges = tuple((u, v, names.index(name)) for u, v, name in triples)
+    return ("ok", edges, tuple(names))
+
+
+_good_names = st.sampled_from(["a", "b", "c", "x_1"])
+_bad_names = st.sampled_from(["", " ", "a b", "\t", "b\u00a0", 0, None, ("a",), ["a"]])
+
+
+@st.composite
+def _edge_lists(draw):
+    """n and simple triples with up to two faults spliced in.
+
+    A fault is an endpoint out of range, a loop, a pair repeated in either
+    orientation or a bad name (empty, whitespace, not a str, unhashable);
+    n may also be below 1.
+    """
+    n = draw(st.integers(-1, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=8)) if pairs else []
+    triples = [(v, u, draw(_good_names)) if draw(st.booleans()) else (u, v, draw(_good_names))
+               for u, v in chosen]
+    for fault in draw(st.lists(st.sampled_from(["range", "loop", "repeat", "name"]), max_size=2)):
+        w = draw(st.integers(0, max(n, 1) - 1))
+        if fault == "range":
+            edge = draw(st.sampled_from([(w, max(n, 1)), (-1, w)]))
+        elif fault == "loop":
+            edge = (w, w)
+        elif fault == "repeat" and triples:
+            u, v, _ = draw(st.sampled_from(triples))
+            edge = draw(st.sampled_from([(u, v), (v, u)]))
+        elif fault == "name" and triples:
+            i = draw(st.integers(0, len(triples) - 1))
+            triples[i] = (*triples[i][:2], draw(_bad_names))
+            continue
+        else:
+            continue
+        triples.insert(draw(st.integers(0, len(triples))), (*edge, draw(_good_names)))
+    return n, triples
+
+
+@settings(max_examples=500, deadline=None)
+@given(_edge_lists())
+def test_build_graph_matches_reference(case):
+    n, triples = case
+    expected = _reference_build(n, triples)
+    try:
+        g = build_graph(n, triples)
+    except GraphError as exc:
+        assert expected[0] == "fault", f"rejected valid input: {exc}"
+        assert expected[1] in str(exc)
+        assert exc.edge == expected[2]
+        return
+    assert expected[0] == "ok", f"accepted input with a fault: {expected}"
+    assert (g.edges, g.labels) == expected[1:]
 
 
 class TestHedgeView:

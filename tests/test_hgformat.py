@@ -60,6 +60,26 @@ class TestParse:
             parse("HG1 3 2\n0 1 a\n1 0 b\n")
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("text, message", [
+        ("HG1 4 3\n# top\n0 1 a\n\n  # gap\n1 4 b\n2 3 c\n",
+         "line 6: edge endpoint out of range: (1, 4)"),
+        ("HG1 4 3\n# top\n0 1 a\n\n  # gap\n2 2 b\n2 3 c\n",
+         "line 6: loop at vertex 2 not allowed in input"),
+        ("HG1 4 3\n# top\n0 1 a\n\n  # gap\n1 0 b\n2 3 c\n",
+         "line 6: duplicate edge between 0 and 1 in input"),
+    ], ids=["range", "loop", "duplicate"])
+    def test_edge_fault_reports_its_own_line(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == message
+        assert err.value.line == 6
+
+    def test_syntax_fault_reported_before_edge_fault(self):
+        # the loop on line 2 is found only after the whole text is read
+        with pytest.raises(ParseError) as err:
+            parse("HG1 3 2\n0 0 a\n")
+        assert str(err.value) == "line 1: header declares 2 edges, found 1"
+
     def test_edge_count_mismatch(self):
         with pytest.raises(ParseError, match="declares 2 edges, found 1"):
             parse("HG1 3 2\n0 1 a\n")

@@ -8,19 +8,21 @@ when every label has exactly one edge, from a deterministic global
 min-cut.  Larger label sets fall back to seeded randomized hedge
 contraction, which yields an upper bound with a valid certificate.
 
-Enumeration, certificate checks and contraction trials share one flat
+Enumeration, certificates and contraction trials share one flat
 representation, built once per graph: for every label, a spanning forest
 of its non-loop edges as ``(u, v)`` pairs over the original vertices.
 Which vertices a set of hedges connects depends only on these forests,
-so each subset test and each certificate's sides are one pass of the
-package's union-find (``graph._join``) over the kept forests, and a
-contraction trial keeps member lists of classes over the original
-vertices; no ``HedgeGraph`` is rebuilt inside either loop.
+so each subset test is one pass of the package's union-find
+(``graph._join``) over the kept forests; no loop rebuilds a graph.
+Every kernel returns only cut labels, and ``_certificate`` builds every
+certificate: side_a is vertex 0's component once the labels are removed.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .graph import (
@@ -155,55 +157,52 @@ def brute_force_connectivity(g: HedgeGraph, cap: int = 20) -> CutCertificate:
 def ordinary_edge_min_cut(g: HedgeGraph) -> CutCertificate:
     """Global min cut when every label has exactly one edge.
 
-    With singleton hedges the problem is plain edge connectivity, solved
-    by the deterministic minimum-cut-phase scheme (merge the last two
-    vertices of a maximum-adjacency sweep, keep the best phase cut).
-    Ties in the sweep go to the smallest vertex id.
+    With singleton hedges the problem is plain edge connectivity, solved by
+    Stoer and Wagner's minimum-cut phases: a maximum-adjacency sweep from
+    vertex 0 merges its last vertex into the one before and offers the cut
+    around the last vertex; the first cheapest phase cut wins.  Edge counts
+    live in one dict per vertex (O(n + m) memory) and the sweep pops a lazy
+    heap of ``(-weight, vertex)``, so ties go to the smallest vertex id.
     """
     connected = _connected(g)
     if g.num_labels != g.m:
         raise GraphError("requires every label to appear on exactly one edge")
     if not connected:
         return _certificate(g, frozenset(), "fastpath", True)
-
-    weight = [[0] * g.n for _ in range(g.n)]
+    adj = [defaultdict(int) for _ in range(g.n)]  # vertex -> neighbour -> edge count
     for u, v, _ in g.edges:
         if u != v:
-            weight[u][v] += 1
-            weight[v][u] += 1
-    active = list(range(g.n))
-    merged: list[set[int]] = [{v} for v in range(g.n)]
-    best_value: int | None = None
-    best_side: frozenset[int] = frozenset()
-    while len(active) > 1:
-        start = active[0]
-        w = {v: weight[start][v] for v in active if v != start}
-        order = [start]
-        while w:
-            top = max(w.values())
-            nxt = min(v for v, wt in w.items() if wt == top)
-            order.append(nxt)
-            del w[nxt]
-            for v in w:
-                w[v] += weight[nxt][v]
-        s, t = order[-2], order[-1]
-        phase_value = sum(weight[t][v] for v in active if v != t)
-        if best_value is None or phase_value < best_value:
-            best_value = phase_value
-            best_side = frozenset(merged[t])
-        # merge t into s
-        merged[s] |= merged[t]
-        active.remove(t)
-        for v in active:
-            weight[s][v] += weight[t][v]
-            weight[v][s] += weight[v][t]
-    side = best_side if 0 in best_side else frozenset(range(g.n)) - best_side
-    labels = frozenset(lab for u, v, lab in g.edges if (u in side) != (v in side))
-    return CutCertificate(labels, side, frozenset(range(g.n)) - side, "fastpath", True)
+            adj[u][v] += 1
+            adj[v][u] += 1
+    merges: list[tuple[int, int]] = []  # (s, t) of each phase: t merged into s
+    best = (g.m + 1, 0, 0)  # (cut value, phase, t); ties keep the earlier phase
+    for phase in range(g.n - 1):
+        key, heap, t = {0: 0}, [(0, 0)], 0  # key: weight into the swept set, -1 once swept
+        while heap:  # vertex 0 pops first
+            w, v = heapq.heappop(heap)
+            if key[v] == -w:  # else stale: v was swept or its weight has grown
+                key[v] = -1
+                s, t, value = t, v, -w
+                for x, c in adj[v].items():
+                    if (k := key.get(x, 0)) >= 0:
+                        key[x] = k + c
+                        heapq.heappush(heap, (-k - c, x))
+        best = min(best, (value, phase, t))
+        merges.append((s, t))
+        for x, c in adj[t].items():
+            del adj[x][t]
+            if x != s:
+                adj[s][x] += c
+                adj[x][s] += c
+    # both sides of a minimum edge cut are connected, so the crossing labels define it
+    parent, _, _ = _join(g.n, [merges[:best[1]]], ())
+    side = [_root(parent, v) == _root(parent, best[2]) for v in range(g.n)]
+    return _certificate(g, frozenset(lab for u, v, lab in g.edges if side[u] != side[v]),
+                        "fastpath", True)
 
 
-def _contraction_trial(n: int, forests: Forests, seed: int) -> CutCertificate:
-    """One contraction trial on the flat forests of a connected graph.
+def _contraction_trial(n: int, forests: Forests, seed: int) -> frozenset[int]:
+    """The cut labels of one contraction trial on the flat forests of a connected graph.
 
     ``cls[v]`` is the class (super-vertex) of original vertex ``v``, named
     by one of its members.  ``live`` maps each label not yet contracted
@@ -211,7 +210,8 @@ def _contraction_trial(n: int, forests: Forests, seed: int) -> CutCertificate:
     Contraction only turns such edges into loops or closes cycles, so the
     stored length bounds the label's rank from above; the forest is
     rebuilt over the current classes, giving the exact rank, only when
-    that bound does not already prove the label safe.
+    that bound does not already prove the label safe.  The final classes
+    are the components left once the returned labels are removed.
     """
     rng = Rng(seed)
     cls = list(range(n))
@@ -237,10 +237,8 @@ def _contraction_trial(n: int, forests: Forests, seed: int) -> CutCertificate:
                 cls[x] = a
             members[a] += members[b]
             count -= 1
-    labels = frozenset(lab for lab, pairs in live.items()
-                       if any(cls[u] != cls[v] for u, v in pairs))
-    side_a = frozenset(members[cls[0]])
-    return CutCertificate(labels, side_a, frozenset(range(n)) - side_a, "randomized", False)
+    return frozenset(lab for lab, pairs in live.items()
+                     if any(cls[u] != cls[v] for u, v in pairs))
 
 
 def randomized_contraction_cut(g: HedgeGraph, seed: int) -> CutCertificate:
@@ -259,7 +257,8 @@ def randomized_contraction_cut(g: HedgeGraph, seed: int) -> CutCertificate:
     """
     if not _connected(g):
         raise GraphError("contraction trials require a connected graph")
-    return _contraction_trial(g.n, _hedge_forests(g), seed)
+    forests = _hedge_forests(g)
+    return _certificate(g, _contraction_trial(g.n, forests, seed), "randomized", False, forests)
 
 
 def default_trial_count(num_labels: int) -> int:
@@ -283,16 +282,16 @@ def randomized_connectivity(g: HedgeGraph, trials: int | None = None,
     if trials < 0:
         raise GraphError("trial count must be nonnegative")
     forests = _hedge_forests(g)
-    best: CutCertificate | None = None
+    best: frozenset[int] | None = None
     for t in range(trials):
-        cert = _contraction_trial(g.n, forests, mix(base_seed, t))
-        if best is None or cert.size < best.size:
-            best = cert
-            if best.size == 1:
+        labels = _contraction_trial(g.n, forests, mix(base_seed, t))
+        if best is None or len(labels) < len(best):
+            best = labels
+            if len(best) == 1:
                 break  # connected graphs need at least one hedge removed
     if best is None:
         return _degree_bound_certificate(g, _vertex_label_sets(g))
-    return best
+    return _certificate(g, best, "randomized", False, forests)
 
 
 def hedge_connectivity(g: HedgeGraph, method: str = "auto", cap: int = 20,

@@ -7,9 +7,9 @@ must be simple; graphs produced by operations (contraction, removal) may
 contain loops and parallel edges.
 
 Each input rule has one home: ``HedgeGraph`` checks what every graph
-obeys (n >= 1, endpoints and label ids in range, every label used, label
-names unique nonempty whitespace-free strings), ``build_graph`` only the
-simple-input rules, and ``hgformat.parse`` only the HG1 syntax.
+obeys (n an int >= 1, endpoints and label ids ints in range, every label
+used, label names unique nonempty whitespace-free strings), ``build_graph``
+only the simple-input rules, and ``hgformat.parse`` only the HG1 syntax.
 
 Two merge routines serve the whole package: ``_forest`` keeps a spanning
 forest of a sparse pair set and gives every rank; ``_join`` (with
@@ -60,13 +60,13 @@ class HedgeGraph:
 
     def __post_init__(self):
         n, k, edges = self.n, len(self.labels), self.edges
-        if n < 1:
-            raise GraphError("vertex count must be at least 1")
-        for u, v, lab in edges:  # a failing edge's index is found only once it fails
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge endpoint out of range: ({u}, {v})", edges.index((u, v, lab)))
-            if not (0 <= lab < k):
-                raise GraphError(f"edge label id out of range: {lab}", edges.index((u, v, lab)))
+        if type(n) is not int or n < 1:  # a bool is no count, endpoint or label id either
+            raise GraphError(f"vertex count must be an int of at least 1, not {n!r}")
+        for i, (u, v, lab) in enumerate(edges):  # not edges.index: (0, 1.0, 0) == (0, 1, 0)
+            if not (type(u) is type(v) is int and 0 <= u < n and 0 <= v < n):
+                raise GraphError(f"edge endpoint out of range: ({u!r}, {v!r})", i)
+            if not (type(lab) is int and 0 <= lab < k):
+                raise GraphError(f"edge label id out of range: {lab!r}", i)
         if len({lab for _, _, lab in edges}) != k:
             raise GraphError("every label must appear on at least one edge")
         for name in self.labels:
@@ -85,14 +85,14 @@ class HedgeGraph:
         return len(self.labels)
 
     def label_id(self, label: LabelRef) -> int:
-        """Resolve a label given as dense id or original string."""
+        """Resolve a label given as dense id (an ``int``, not a ``bool``) or original string."""
         if isinstance(label, str):
             try:
                 return self.labels.index(label)
             except ValueError:
                 raise GraphError(f"unknown label {label!r}") from None
-        if not (0 <= label < len(self.labels)):
-            raise GraphError(f"unknown label id {label}")
+        if type(label) is not int or not (0 <= label < len(self.labels)):
+            raise GraphError(f"unknown label id {label!r}")
         return label
 
 

@@ -1,14 +1,47 @@
+import random
 from pathlib import Path
 
 import pytest
 
-from hedgecut import HedgeGraph, build_graph
+from hedgecut import HedgeGraph, build_graph, contract_edge
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def fixture_text(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="ascii")
+
+
+def singleton_label_graphs() -> list[HedgeGraph]:
+    """30 seeded connected graphs in which every label has exactly one edge.
+
+    Seeds 0-9 are simple graphs; seeds 10-19 are ``contract_edge`` results
+    with parallel edges (an edge of a triangle contracted); seeds 20-29
+    contract one edge of a parallel pair of such a result, leaving a loop.
+    """
+    graphs = []
+    for seed in range(30):
+        rng = random.Random(seed)
+        n = rng.randint(5, 16)
+        pairs = {(rng.randrange(v), v) for v in range(1, n)}  # a random tree
+        for _ in range(rng.randint(n // 2, 2 * n)):
+            u, v = sorted(rng.sample(range(n), 2))
+            pairs.add((u, v))
+        g = build_graph(n, [(u, v, f"e{i}") for i, (u, v) in enumerate(sorted(pairs))])
+        if seed >= 10:  # contract an edge whose ends share a neighbour
+            nbrs = [set() for _ in range(g.n)]
+            for u, v, _ in g.edges:
+                nbrs[u].add(v)
+                nbrs[v].add(u)
+            g = contract_edge(g, rng.choice(
+                [i for i, (u, v, _) in enumerate(g.edges) if nbrs[u] & nbrs[v]]))[0]
+        if seed >= 20:  # contract one edge of a parallel pair
+            seen = {}
+            twins = [i for i, (u, v, _) in enumerate(g.edges)
+                     if seen.setdefault((min(u, v), max(u, v)), i) != i]
+            g = contract_edge(g, rng.choice(twins))[0]
+        graphs.append(g)
+    return graphs
 
 
 @pytest.fixture

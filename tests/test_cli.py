@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from conftest import FIXTURES
-from hedgecut import TheoremId, parse_verdict
+from hedgecut import TheoremId, cli, parse_verdict
 
 C4ALT = str(FIXTURES / "c4alt.hg")
 SPIDER = str(FIXTURES / "spider.hg")
@@ -281,6 +281,57 @@ class TestErrorHandling:
 
     def test_unknown_subcommand(self):
         assert run_cli("frobnicate").returncode == 2
+
+
+# command -> (argv with "{}" for the instance file, one bad option added to a good run)
+MATRIX_COMMANDS = {
+    "stats": (["stats", "{}"], ["--trials", "3"]),  # stats takes no options
+    "connectivity": (["connectivity", "{}"], ["--trials", "-1"]),
+    "contract": (["contract", "{}", "--hedge", "a"], ["--hedge", "zz"]),
+    "relabel": (["relabel", "{}"], ["--seed", "1"]),  # relabel takes no options
+    "audit": (["audit", "{}", "--theorem", "all"], ["--theorem", "NOPE"]),
+}
+FILE_FAULTS = {"bad-header": b"HG2 2 1\n0 1 a\n", "non-ascii": b"HG1 2 1\n0 1 caf\xc3\xa9\n"}
+
+
+def main_exit_code(argv, capsys):
+    """cli.main in-process: its return code, or the code argparse exits with."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    assert err.strip(), "an input error must say what went wrong"
+    assert out == ""
+    return code
+
+
+@pytest.mark.parametrize("fault", ["missing", "directory", "bad-header", "non-ascii", "bad-option"])
+@pytest.mark.parametrize("command", list(MATRIX_COMMANDS))
+def test_exit_code_matrix(command, fault, tmp_path, capsys, monkeypatch):
+    # every input error exits 2 with a message and no traceback; exit 1 is
+    # reserved for a violated universal claim
+    monkeypatch.delenv("HEDGECUT_SEED", raising=False)
+    argv, bad_option = MATRIX_COMMANDS[command]
+    path = {"missing": tmp_path / "missing.hg", "directory": tmp_path}.get(fault, C4ALT)
+    if fault in FILE_FAULTS:
+        path = tmp_path / f"{fault}.hg"
+        path.write_bytes(FILE_FAULTS[fault])
+    argv = [str(path) if arg == "{}" else arg for arg in argv]
+    if fault == "bad-option":
+        argv += bad_option
+    assert main_exit_code(argv, capsys) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--params", "n=8..2"],
+    ["generate", "--params", "q=1..2"],
+    ["generate", "--seed", "x"],
+], ids=["reversed-range", "unknown-key", "non-int-seed"])
+def test_generate_exit_code(argv, capsys, monkeypatch):
+    monkeypatch.delenv("HEDGECUT_SEED", raising=False)
+    assert main_exit_code(argv, capsys) == 2
 
 
 class TestDeterminism:

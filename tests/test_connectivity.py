@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import pytest
 
@@ -135,6 +136,19 @@ class TestOrdinaryMinCut:
 
     def test_side_a_holds_vertex_zero(self, triangle):
         assert 0 in ordinary_edge_min_cut(triangle).side_a
+
+    def test_memory_is_linear(self):
+        # an n x n weight matrix alone would take about 1.3 MB at n = 400
+        n = 400
+        g = build_graph(n, [(v, (v + 1) % n, f"e{v}") for v in range(n)])
+        tracemalloc.start()
+        try:
+            cert = ordinary_edge_min_cut(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert.size == 2
+        assert peak < 1_000_000, peak
 
 
 class TestRandomized:

@@ -71,6 +71,29 @@ class TestBuildGraph:
             c4alt.label_id("zzz")
 
 
+C4ALT = build_graph(4, [(0, 1, "a"), (1, 2, "b"), (2, 3, "a"), (3, 0, "b")])
+
+
+@pytest.mark.parametrize("call, args, message, edge", [
+    (build_graph, (2.5, [(0, 1, "a")]), "vertex count must be an int of at least 1, not 2.5", None),
+    (build_graph, (True, []), "vertex count must be an int of at least 1, not True", None),
+    (build_graph, (3, [(0, 1.0, "a")]), r"endpoint out of range: \(0, 1.0\)", 0),
+    (build_graph, (3, [(0, True, "a")]), r"endpoint out of range: \(0, True\)", 0),
+    (HedgeGraph, (2, ((0, 1, 0.0),), ("a",)), "label id out of range: 0.0", 0),
+    (HedgeGraph, (3, ((0, 1, 0), (0, 1.0, 0)), ("a",)), r"out of range: \(0, 1.0\)", 1),
+    (hedge_view, (C4ALT, 1.5), "unknown label id 1.5", None),
+    (hedge_view, (C4ALT, True), "unknown label id True", None),
+    (remove_hedges, (C4ALT, [None]), "unknown label id None", None),
+], ids=["float-n", "bool-n", "float-endpoint", "bool-endpoint", "float-label-id",
+        "equal-int-twin", "float-ref", "bool-ref", "none-ref"])
+def test_non_int_ids_rejected(call, args, message, edge):
+    # vertex counts, endpoints and label ids are ints; a bool is not one.
+    # The faulty edge is blamed, not an earlier edge that compares equal.
+    with pytest.raises(GraphError, match=message) as err:
+        call(*args)
+    assert err.value.edge == edge
+
+
 def _reference_build(n, triples):
     """What build_graph must do, written independently of it.
 

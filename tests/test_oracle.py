@@ -6,7 +6,8 @@ connectivity is the minimum, over all 2^(n-1) - 1 bipartitions, of the
 number of labels with an edge crossing it.  The oracle below computes
 that from the raw edge list with bit masks and shares no code with the
 package's connectivity kernel.  The singleton-hedge min cut is checked
-against networkx's Stoer-Wagner, and every rank, the connectivity test
+against networkx's Stoer-Wagner, on simple graphs and on multigraphs
+with parallel edges and loops, and every rank, the connectivity test
 and the classes a hedge contraction merges against networkx's
 components, where networkx is installed.
 """
@@ -15,6 +16,7 @@ import random
 
 import pytest
 
+from conftest import singleton_label_graphs
 from hedgecut import (
     GeneratorParams,
     brute_force_connectivity,
@@ -71,6 +73,7 @@ def test_enumeration_matches_oracle(family):
 def test_edge_min_cut_matches_networkx():
     # with one label per edge the hedge connectivity is the edge connectivity
     nx = pytest.importorskip("networkx")
+    graphs = []
     for seed in range(40):
         rng = random.Random(seed)
         n = rng.randint(5, 30)
@@ -79,11 +82,17 @@ def test_edge_min_cut_matches_networkx():
             u, v = sorted(rng.sample(range(n), 2))
             pairs.add((u, v))
         edges = [(u, v, f"e{i}") for i, (u, v) in enumerate(sorted(pairs))]
-        g = build_graph(n, edges)
+        graphs.append(build_graph(n, edges))
+    # contract_edge results: parallel edges sum into one weight, loops drop out
+    graphs += singleton_label_graphs()
+    for g in graphs:
         cert = ordinary_edge_min_cut(g)
         graph = nx.Graph()
-        graph.add_edges_from((u, v) for u, v, _ in edges)
-        assert cert.size == nx.stoer_wagner(graph)[0], seed
+        for u, v, _ in g.edges:
+            if u != v:
+                weight = graph.get_edge_data(u, v, {"weight": 0})["weight"]
+                graph.add_edge(u, v, weight=weight + 1)
+        assert cert.size == nx.stoer_wagner(graph)[0], g
         assert validate_certificate(g, cert)
 
 

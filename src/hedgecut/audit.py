@@ -8,6 +8,11 @@ search adjudicate claims that are expected to fail; the set of claims
 that provably hold on every connected instance is exported so callers
 can treat their violation as an internal error rather than a finding.
 
+Each claim computes only what it reads (views, adjacency graph,
+relabeling), and nothing is shared across calls: ``bench/spans.py`` times
+one span per claim and ``verify_certificate`` replays one claim from
+cold, so a value cached by one claim would hide the cost of another.
+
 Degree conventions are explicit: by default a loop contributes its
 label to its vertex once, and hedge degree totals use degrees measured
 in the whole graph.  Both alternative readings (loops ignored, degrees
@@ -28,8 +33,8 @@ from typing import Any, Sequence
 from .adjacency import adjacency_graph, greedy_relabel
 from .connectivity import brute_force_connectivity
 from .contraction import contract_edge, contract_hedge, contraction_sequence
-from .graph import (GraphError, HedgeGraph, _vertex_label_sets, build_graph, graph_rank_nullity,
-                    hedge_view, is_connected)
+from .graph import (GraphError, HedgeGraph, HedgeView, _vertex_label_sets, build_graph,
+                    graph_rank_nullity, hedge_view, is_connected)
 from .hgformat import ParseError, emit, parse
 from .rng import Rng, mix
 
@@ -179,59 +184,53 @@ def audit_theorem(theorem: TheoremId, g: HedgeGraph, *, count_loops: bool = True
 
     degrees = degrees_of(g)
     delta, big_delta = min(degrees), max(degrees)
-    views = [hedge_view(g, lab) for lab in range(g.num_labels)]
-    adj = adjacency_graph(g)
-    max_da = max((adj.degree(i) for i in range(g.num_labels)), default=0)
 
-    def q_used() -> tuple[int, dict[str, int | None]]:
+    def views() -> list[HedgeView]:
+        return [hedge_view(g, lab) for lab in range(g.num_labels)]
+
+    def hedge_total(view: HedgeView) -> int:
+        inner = degrees_of(g, view.vertex_set) if induced_degrees else degrees
+        return sum(inner[v] for v in view.vertex_set)
+
+    if theorem is TheoremId.T1_MIN_DEG_BOUND:
+        lam = brute_force_connectivity(g, cap=g.num_labels).size
+        return [verdict(lam <= delta, lam, delta)]
+
+    if theorem in (TheoremId.T2_RELABEL_GE_MAXDEG, TheoremId.T4_MAXDA_GE_MAXDEG,
+                   TheoremId.T5_RELABEL_GE_MAXDA, TheoremId.VIZING_BAND, TheoremId.COROLLARY_CHAIN):
+        adj = adjacency_graph(g)
+        max_da = max((adj.degree(i) for i in range(g.num_labels)), default=0)
+        if theorem is TheoremId.T4_MAXDA_GE_MAXDEG:  # the one claim here that needs no relabeling
+            return [verdict(max_da >= big_delta, max_da, big_delta)]
         greedy_q = greedy_relabel(g).num_colors
         optimal_q = _chromatic_number(adj.neighbors) if g.num_labels <= 8 else None
         q = optimal_q if optimal_q is not None else greedy_q
-        return q, {"greedy_q": greedy_q, "optimal_q": optimal_q}
-
-    def lambda_h() -> int:
-        return brute_force_connectivity(g, cap=g.num_labels).size
-
-    if theorem is TheoremId.T1_MIN_DEG_BOUND:
-        lam = lambda_h()
-        return [verdict(lam <= delta, lam, delta)]
-
-    if theorem is TheoremId.T2_RELABEL_GE_MAXDEG:
-        q, q_witness = q_used()
-        return [verdict(q >= big_delta, q, big_delta, q_witness)]
+        q_witness = {"greedy_q": greedy_q, "optimal_q": optimal_q}
+        if theorem is TheoremId.T2_RELABEL_GE_MAXDEG:
+            return [verdict(q >= big_delta, q, big_delta, q_witness)]
+        if theorem is TheoremId.T5_RELABEL_GE_MAXDA:
+            return [verdict(q >= max_da, q, max_da, q_witness)]
+        if theorem is TheoremId.VIZING_BAND:
+            return [verdict(max_da <= q <= max_da + 1, q, [max_da, max_da + 1], q_witness)]
+        chain = [brute_force_connectivity(g, cap=g.num_labels).size, delta, big_delta, max_da, q]
+        holds = all(a <= b for a, b in zip(chain, chain[1:]))
+        return [verdict(holds, chain, None, q_witness)]
 
     if theorem is TheoremId.T3_DA_LE_TOTAL:
+        adj = adjacency_graph(g)
         out = []
-        for i, view in enumerate(views):
-            inner = degrees_of(g, view.vertex_set) if induced_degrees else degrees
-            total = sum(inner[v] for v in view.vertex_set)
+        for i, view in enumerate(views()):
+            total = hedge_total(view)
             out.append(verdict(adj.degree(i) <= total, adj.degree(i), total,
                                {"hedge": g.labels[i]}))
         return out
 
-    if theorem is TheoremId.T4_MAXDA_GE_MAXDEG:
-        return [verdict(max_da >= big_delta, max_da, big_delta)]
-
-    if theorem is TheoremId.T5_RELABEL_GE_MAXDA:
-        q, q_witness = q_used()
-        return [verdict(q >= max_da, q, max_da, q_witness)]
-
-    if theorem is TheoremId.VIZING_BAND:
-        q, q_witness = q_used()
-        return [verdict(max_da <= q <= max_da + 1, q, [max_da, max_da + 1], q_witness)]
-
-    if theorem is TheoremId.COROLLARY_CHAIN:
-        q, q_witness = q_used()
-        chain = [lambda_h(), delta, big_delta, max_da, q]
-        holds = all(a <= b for a, b in zip(chain, chain[1:]))
-        return [verdict(holds, chain, None, q_witness)]
-
     if theorem in (TheoremId.RANKSUM_STATIC, TheoremId.NULLSUM_STATIC):
         rank, nullity = graph_rank_nullity(g)
         if theorem is TheoremId.RANKSUM_STATIC:
-            lhs, rhs = rank, sum(v.rank for v in views)
+            lhs, rhs = rank, sum(v.rank for v in views())
         else:
-            lhs, rhs = nullity, sum(v.nullity for v in views)
+            lhs, rhs = nullity, sum(v.nullity for v in views())
         return [verdict(lhs == rhs, lhs, rhs)]
 
     if theorem in (TheoremId.RANKSUM_SEQ, TheoremId.NULLSUM_SEQ):
@@ -247,17 +246,17 @@ def audit_theorem(theorem: TheoremId, g: HedgeGraph, *, count_loops: bool = True
         return out
 
     if theorem is TheoremId.VD_EQUALITY:
-        lhs = sum(len(v.vertex_set) for v in views)
+        lhs = sum(len(v.vertex_set) for v in views())
         rhs = sum(degrees)
         return [verdict(lhs == rhs, lhs, rhs)]
 
     if theorem is TheoremId.SPANSUM_UPPER:
-        lhs = sum(v.span for v in views)
+        lhs = sum(v.span for v in views())
         rhs = 2 * g.m - g.n + 1
         return [verdict(lhs <= rhs, lhs, rhs)]
 
     if theorem is TheoremId.SPANSUM_BAND:
-        lhs = sum(v.span for v in views)
+        lhs = sum(v.span for v in views())
         band = [g.n * delta - g.n + 1, g.n * big_delta - g.n + 1]
         return [verdict(band[0] <= lhs <= band[1], lhs, band)]
 
@@ -282,7 +281,7 @@ def audit_theorem(theorem: TheoremId, g: HedgeGraph, *, count_loops: bool = True
 
     if theorem is TheoremId.CONTRACT_H:
         out = []
-        for i, view in enumerate(views):
+        for i, view in enumerate(views()):
             lhs = sum(degrees_of(contract_hedge(g, i)))
             rhs = sum(degrees) - 2 * view.rank
             out.append(verdict(lhs <= rhs, lhs, rhs, {"hedge": g.labels[i]}))
@@ -290,16 +289,15 @@ def audit_theorem(theorem: TheoremId, g: HedgeGraph, *, count_loops: bool = True
 
     if theorem is TheoremId.CONTRACT_SUM:
         out = []
-        for i, view in enumerate(views):
-            inner = degrees_of(g, view.vertex_set) if induced_degrees else degrees
-            hedge_total = sum(inner[v] for v in view.vertex_set)
+        for i, view in enumerate(views()):
             after_total = sum(degrees_of(contract_hedge(g, i)))
             lhs = sum(degrees)
-            rhs = after_total + hedge_total - view.span * (delta - 1)
+            rhs = after_total + hedge_total(view) - view.span * (delta - 1)
             out.append(verdict(lhs <= rhs, lhs, rhs, {"hedge": g.labels[i]}))
         return out
 
     if theorem is TheoremId.CONTRACT_ADJ:
+        adj = adjacency_graph(g)
         q = greedy_relabel(g).num_colors
         out = []
         for i in range(g.num_labels):
@@ -380,13 +378,9 @@ def verify_certificate(v: AuditVerdict) -> bool:
         return False
     g = parse(v.instance_text)
     witness = v.witness if isinstance(v.witness, dict) else {}
-    modes = {}
-    if witness.get("count_loops") is False:
-        modes["count_loops"] = False
-    if witness.get("induced_degrees") is True:
-        modes["induced_degrees"] = True
     try:
-        fresh = audit_theorem(v.theorem, g, **modes)
+        fresh = audit_theorem(v.theorem, g, count_loops=witness.get("count_loops") is not False,
+                              induced_degrees=witness.get("induced_degrees") is True)
     except GraphError:
         return False
     return any(f.holds == v.holds and f.lhs == v.lhs and f.rhs == v.rhs

@@ -127,23 +127,27 @@ def build_graph(n: int, edge_list: Sequence[tuple[int, int, str]]) -> HedgeGraph
     pair (regardless of label), and edges when n >= 2; ``HedgeGraph``
     checks the rest.  Disconnected input is accepted.
     """
-    if not edge_list and n >= 2:
-        raise GraphError("empty edge list for a graph with 2 or more vertices")
     interned: dict[str, int] = {}
     edges: list[Edge] = []
     seen_pairs: set[tuple[int, int]] = set()
     for u, v, name in edge_list:
         if u == v:
             raise GraphError(f"loop at vertex {u} not allowed in input", len(edges))
-        pair = (u, v) if u < v else (v, u)
-        if pair in seen_pairs:
-            raise GraphError(f"duplicate edge between {pair[0]} and {pair[1]} in input", len(edges))
-        seen_pairs.add(pair)
+        try:
+            pair = (u, v) if u < v else (v, u)
+            if pair in seen_pairs:
+                raise GraphError(f"duplicate edge between {pair[0]} and {pair[1]} in input", len(edges))
+            seen_pairs.add(pair)
+        except TypeError:  # endpoints that are no ints; HedgeGraph blames the edge
+            pass
         try:
             edges.append((u, v, interned.setdefault(name, len(interned))))
         except TypeError:  # unhashable, so not a str
             raise _bad_label(name) from None
-    return HedgeGraph(n, tuple(edges), tuple(interned))
+    graph = HedgeGraph(n, tuple(edges), tuple(interned))
+    if not edges and n >= 2:  # after HedgeGraph, so n is an int here
+        raise GraphError("empty edge list for a graph with 2 or more vertices")
+    return graph
 
 
 def _forest(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:

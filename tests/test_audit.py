@@ -1,8 +1,11 @@
 import dataclasses
+import hashlib
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import hedgecut.audit
 from hedgecut import (
     UNIVERSAL_IDS,
     GeneratorParams,
@@ -11,10 +14,12 @@ from hedgecut import (
     TheoremId,
     audit_theorem,
     build_graph,
+    contract_hedge,
     emit,
     format_verdict,
     instance_digest,
     is_connected,
+    parse,
     parse_verdict,
     random_instance,
     search_counterexample,
@@ -167,6 +172,78 @@ class TestDegreeModes:
         i = {v.witness["hedge"]: v.rhs for v in induced}
         # pendant hedge a touches vertices 0 and 3; only the a-label survives induction
         assert d["a"] == 3 and i["a"] == 2
+
+
+MODES = {"default": {}, "loops-ignored": {"count_loops": False},
+         "induced": {"induced_degrees": True}}
+
+# sha256 of the format_verdict text of all 19 claims, in TheoremId order
+AUDIT_BYTES = {
+    ("c4alt", "default"): "a1a025a6d604c95c98d5e073d0b1ab2cefed2562c5e9ce6259b9db300b85f234",
+    ("c4alt", "loops-ignored"): "1647be39cc7804155cd27a53d427e444f6381ada3e8ed9eb97d4d8b45147d28a",
+    ("c4alt", "induced"): "772f2d2131e277e33c6cfa3e05187e6b0bb88b04b3a1e48ef26b48b644f7de1f",
+    ("p3", "default"): "f83d0c67b6cf93c3d9e611effe4e567dbaea82f7e6b34ca9a3cf08dae846f55c",
+    ("p3", "loops-ignored"): "7dab727efeabb1db57de44925f677ff4ea4c7e810b5477a6ccc217693bea3636",
+    ("p3", "induced"): "67ef578eb5c2cfe5716c9ea51b495be039a29489ad0f84fc5a44dbb42dfa4f5c",
+    ("pendants", "default"): "c2616f37f9e7da9cf2117bdcb509730d6fae3e892851fa9e2bfb96572ee20588",
+    ("pendants", "loops-ignored"): "4fb239e1509a972a02682a461c8df0dfa467e5914b5d54e37c18b581bcda6831",
+    ("pendants", "induced"): "84a9c2ab47ddc8b20c0905c0629b5e8683eb51bf53b18cb9ebd9752c55479011",
+    ("spider", "default"): "6124fdec30e2b488b68e35c459d0e9e9860a2683944e74b8de75b4cdb6151d15",
+    ("spider", "loops-ignored"): "0db2a19146efcb7fb183d66c37381bca5c7f7288e44dffad3863fc2cf8690b43",
+    ("spider", "induced"): "55b0879531ec05e1ca6205f6399692958ccc8c92895f9209f00f1f28e9b316a9",
+    ("triangle3", "default"): "68ff94246bcf6595e5ce0a5d451f2158816b0f38aa67f0cb404f31148081be65",
+    ("triangle3", "loops-ignored"): "e739f6032a941074d7871e7e3495760006563ecefab6495255d5e498014f5793",
+    ("triangle3", "induced"): "194d1008fff1a403bcd805b3f4d5f445425241298453a3186829b2ed17da8ff0",
+    ("twoi", "default"): "8dc64bb05f3100b9ac315d6b5dc5ab078b37161ea08abc48ddc3056b97845d16",
+    ("twoi", "loops-ignored"): "14427439de0a04f0750cf908eccaadac32a52d79696e776a96df031f98bb0370",
+    ("twoi", "induced"): "effc78d1adc62c330d851e91d524a8bc57c7aa682fa3bfa72bdd62ea473ba47c",
+    ("contracted", "default"): "98cf14e67c7f13fd63b6d19af19b7510112c0a5d2b54559543a0a6c8ece64e5f",
+    ("contracted", "loops-ignored"): "6872f7cf34555188033d90c00ed41f44004b4716b1507befc2477cd5397915ec",
+    ("contracted", "induced"): "66224b82f3c20eaba125e6cab62ba7f12cc771f5772d2aac68aae85640040641",
+}
+
+
+def _golden_graph(name):
+    if name != "contracted":
+        return parse((Path(__file__).parent / "fixtures" / f"{name}.hg").read_text(encoding="ascii"))
+    # contracting hedge a merges 0, 1, 2, so the b edge (0, 2) becomes a loop
+    g = build_graph(5, [(0, 1, "a"), (1, 2, "a"), (0, 2, "b"), (2, 3, "c"), (3, 4, "b"),
+                        (1, 4, "c"), (0, 4, "d")])
+    return contract_hedge(g, "a")
+
+
+@pytest.mark.parametrize("name, mode", sorted(AUDIT_BYTES))
+def test_audit_bytes_pinned(name, mode):
+    g = _golden_graph(name)
+    if name == "contracted":
+        assert is_connected(g) and any(u == v for u, v, _ in g.edges)
+    text = "".join(format_verdict(v) for theorem in TheoremId
+                   for v in audit_theorem(theorem, g, **MODES[mode]))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == AUDIT_BYTES[name, mode]
+
+
+VIEW_READERS = {TheoremId.T3_DA_LE_TOTAL, TheoremId.RANKSUM_STATIC, TheoremId.NULLSUM_STATIC,
+                TheoremId.VD_EQUALITY, TheoremId.SPANSUM_UPPER, TheoremId.SPANSUM_BAND,
+                TheoremId.CONTRACT_H, TheoremId.CONTRACT_SUM}
+ADJACENCY_READERS = {TheoremId.T2_RELABEL_GE_MAXDEG, TheoremId.T3_DA_LE_TOTAL,
+                     TheoremId.T4_MAXDA_GE_MAXDEG, TheoremId.T5_RELABEL_GE_MAXDA,
+                     TheoremId.VIZING_BAND, TheoremId.COROLLARY_CHAIN, TheoremId.CONTRACT_ADJ}
+
+
+@pytest.mark.parametrize("theorem", list(TheoremId))
+def test_each_claim_builds_only_what_it_reads(theorem, twoi, monkeypatch):
+    # T1, the two *_SEQ sums, CONTRACTV_BAND and CONTRACT_MIN read neither
+    built = []
+    for name in ("hedge_view", "adjacency_graph"):
+        def counted(h, *args, _fn=getattr(hedgecut.audit, name), _name=name):
+            built.append((_name, h))
+            return _fn(h, *args)
+        monkeypatch.setattr(hedgecut.audit, name, counted)
+    audit_theorem(theorem, twoi)
+    views = sum(1 for name, h in built if name == "hedge_view")
+    own_adjacency = sum(1 for name, h in built if name == "adjacency_graph" and h is twoi)
+    assert views == (twoi.num_labels if theorem in VIEW_READERS else 0)
+    assert own_adjacency == (1 if theorem in ADJACENCY_READERS else 0)
 
 
 class TestVerdictRecords:

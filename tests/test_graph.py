@@ -79,13 +79,16 @@ C4ALT = build_graph(4, [(0, 1, "a"), (1, 2, "b"), (2, 3, "a"), (3, 0, "b")])
     (build_graph, (True, []), "vertex count must be an int of at least 1, not True", None),
     (build_graph, (3, [(0, 1.0, "a")]), r"endpoint out of range: \(0, 1.0\)", 0),
     (build_graph, (3, [(0, True, "a")]), r"endpoint out of range: \(0, True\)", 0),
+    (build_graph, (3, [(0, "1", "a")]), r"endpoint out of range: \(0, '1'\)", 0),
+    (build_graph, (3, [(0, None, "a"), (1, 2, "b")]), r"endpoint out of range: \(0, None\)", 0),
+    (build_graph, ("3", []), "vertex count must be an int of at least 1, not '3'", None),
     (HedgeGraph, (2, ((0, 1, 0.0),), ("a",)), "label id out of range: 0.0", 0),
     (HedgeGraph, (3, ((0, 1, 0), (0, 1.0, 0)), ("a",)), r"out of range: \(0, 1.0\)", 1),
     (hedge_view, (C4ALT, 1.5), "unknown label id 1.5", None),
     (hedge_view, (C4ALT, True), "unknown label id True", None),
     (remove_hedges, (C4ALT, [None]), "unknown label id None", None),
-], ids=["float-n", "bool-n", "float-endpoint", "bool-endpoint", "float-label-id",
-        "equal-int-twin", "float-ref", "bool-ref", "none-ref"])
+], ids=["float-n", "bool-n", "float-endpoint", "bool-endpoint", "str-endpoint", "none-endpoint",
+        "str-n", "float-label-id", "equal-int-twin", "float-ref", "bool-ref", "none-ref"])
 def test_non_int_ids_rejected(call, args, message, edge):
     # vertex counts, endpoints and label ids are ints; a bool is not one.
     # The faulty edge is blamed, not an earlier edge that compares equal.

@@ -61,8 +61,12 @@ def greedy_relabel(g: HedgeGraph) -> Relabeling:
     already-colored neighbors.  Uses at most max adjacency degree + 1
     colors.
     """
-    adj = adjacency_graph(g)
-    ids = list(range(g.num_labels))
+    return _greedy_colors(adjacency_graph(g))
+
+
+def _greedy_colors(adj: HedgeAdjacencyGraph) -> Relabeling:
+    """``greedy_relabel``'s coloring of an adjacency graph already built."""
+    ids = list(range(len(adj.labels)))
     colors: dict[int, int] = {}
     for i in sorted(ids, key=lambda i: (-adj.degree(i), i)):
         taken = {colors[j] for j in adj.neighbors[i] if j in colors}

@@ -30,11 +30,11 @@ from enum import Enum
 from heapq import heapify, heappop, heappush
 from typing import Any, Sequence
 
-from .adjacency import adjacency_graph, greedy_relabel
+from .adjacency import _greedy_colors, adjacency_graph
 from .connectivity import brute_force_connectivity
 from .contraction import contract_edge, contract_hedge, contraction_sequence
-from .graph import (GraphError, HedgeGraph, HedgeView, _vertex_label_sets, build_graph,
-                    graph_rank_nullity, hedge_view, is_connected)
+from .graph import (GraphError, HedgeGraph, HedgeView, _hedge_views, _vertex_label_sets,
+                    build_graph, graph_rank_nullity, is_connected)
 from .hgformat import ParseError, emit, parse
 from .rng import Rng, mix
 
@@ -185,9 +185,6 @@ def audit_theorem(theorem: TheoremId, g: HedgeGraph, *, count_loops: bool = True
     degrees = degrees_of(g)
     delta, big_delta = min(degrees), max(degrees)
 
-    def views() -> list[HedgeView]:
-        return [hedge_view(g, lab) for lab in range(g.num_labels)]
-
     def hedge_total(view: HedgeView) -> int:
         inner = degrees_of(g, view.vertex_set) if induced_degrees else degrees
         return sum(inner[v] for v in view.vertex_set)
@@ -202,7 +199,7 @@ def audit_theorem(theorem: TheoremId, g: HedgeGraph, *, count_loops: bool = True
         max_da = max((adj.degree(i) for i in range(g.num_labels)), default=0)
         if theorem is TheoremId.T4_MAXDA_GE_MAXDEG:  # the one claim here that needs no relabeling
             return [verdict(max_da >= big_delta, max_da, big_delta)]
-        greedy_q = greedy_relabel(g).num_colors
+        greedy_q = _greedy_colors(adj).num_colors
         optimal_q = _chromatic_number(adj.neighbors) if g.num_labels <= 8 else None
         q = optimal_q if optimal_q is not None else greedy_q
         q_witness = {"greedy_q": greedy_q, "optimal_q": optimal_q}
@@ -219,7 +216,7 @@ def audit_theorem(theorem: TheoremId, g: HedgeGraph, *, count_loops: bool = True
     if theorem is TheoremId.T3_DA_LE_TOTAL:
         adj = adjacency_graph(g)
         out = []
-        for i, view in enumerate(views()):
+        for i, view in enumerate(_hedge_views(g)):
             total = hedge_total(view)
             out.append(verdict(adj.degree(i) <= total, adj.degree(i), total,
                                {"hedge": g.labels[i]}))
@@ -228,9 +225,9 @@ def audit_theorem(theorem: TheoremId, g: HedgeGraph, *, count_loops: bool = True
     if theorem in (TheoremId.RANKSUM_STATIC, TheoremId.NULLSUM_STATIC):
         rank, nullity = graph_rank_nullity(g)
         if theorem is TheoremId.RANKSUM_STATIC:
-            lhs, rhs = rank, sum(v.rank for v in views())
+            lhs, rhs = rank, sum(v.rank for v in _hedge_views(g))
         else:
-            lhs, rhs = nullity, sum(v.nullity for v in views())
+            lhs, rhs = nullity, sum(v.nullity for v in _hedge_views(g))
         return [verdict(lhs == rhs, lhs, rhs)]
 
     if theorem in (TheoremId.RANKSUM_SEQ, TheoremId.NULLSUM_SEQ):
@@ -246,17 +243,17 @@ def audit_theorem(theorem: TheoremId, g: HedgeGraph, *, count_loops: bool = True
         return out
 
     if theorem is TheoremId.VD_EQUALITY:
-        lhs = sum(len(v.vertex_set) for v in views())
+        lhs = sum(len(v.vertex_set) for v in _hedge_views(g))
         rhs = sum(degrees)
         return [verdict(lhs == rhs, lhs, rhs)]
 
     if theorem is TheoremId.SPANSUM_UPPER:
-        lhs = sum(v.span for v in views())
+        lhs = sum(v.span for v in _hedge_views(g))
         rhs = 2 * g.m - g.n + 1
         return [verdict(lhs <= rhs, lhs, rhs)]
 
     if theorem is TheoremId.SPANSUM_BAND:
-        lhs = sum(v.span for v in views())
+        lhs = sum(v.span for v in _hedge_views(g))
         band = [g.n * delta - g.n + 1, g.n * big_delta - g.n + 1]
         return [verdict(band[0] <= lhs <= band[1], lhs, band)]
 
@@ -281,7 +278,7 @@ def audit_theorem(theorem: TheoremId, g: HedgeGraph, *, count_loops: bool = True
 
     if theorem is TheoremId.CONTRACT_H:
         out = []
-        for i, view in enumerate(views()):
+        for i, view in enumerate(_hedge_views(g)):
             lhs = sum(degrees_of(contract_hedge(g, i)))
             rhs = sum(degrees) - 2 * view.rank
             out.append(verdict(lhs <= rhs, lhs, rhs, {"hedge": g.labels[i]}))
@@ -289,7 +286,7 @@ def audit_theorem(theorem: TheoremId, g: HedgeGraph, *, count_loops: bool = True
 
     if theorem is TheoremId.CONTRACT_SUM:
         out = []
-        for i, view in enumerate(views()):
+        for i, view in enumerate(_hedge_views(g)):
             after_total = sum(degrees_of(contract_hedge(g, i)))
             lhs = sum(degrees)
             rhs = after_total + hedge_total(view) - view.span * (delta - 1)
@@ -298,7 +295,7 @@ def audit_theorem(theorem: TheoremId, g: HedgeGraph, *, count_loops: bool = True
 
     if theorem is TheoremId.CONTRACT_ADJ:
         adj = adjacency_graph(g)
-        q = greedy_relabel(g).num_colors
+        q = _greedy_colors(adj).num_colors
         out = []
         for i in range(g.num_labels):
             contracted = contract_hedge(g, i)
@@ -318,8 +315,8 @@ def audit_theorem(theorem: TheoremId, g: HedgeGraph, *, count_loops: bool = True
     raise GraphError(f"unhandled theorem id {theorem!r}")
 
 
-def _json(value: Any) -> str:
-    return json.dumps(value, separators=(",", ":"), sort_keys=True)
+# json.dumps with options builds a new encoder on every call; one serves every field
+_json = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
 
 
 def format_verdict(v: AuditVerdict) -> str:

@@ -27,7 +27,7 @@ from .audit import (
 )
 from .connectivity import hedge_connectivity
 from .contraction import cleanup, contract_hedge
-from .graph import GraphError, HedgeGraph, degree_summary, graph_rank_nullity, hedge_view
+from .graph import GraphError, HedgeGraph, _hedge_views, degree_summary, graph_rank_nullity
 from .hgformat import ParseError, emit, parse
 from .rng import mix
 
@@ -87,7 +87,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     g = _load(args.file)
     rank, nullity = graph_rank_nullity(g)
     delta, big_delta, total = degree_summary(g)
-    views = [hedge_view(g, lab) for lab in range(g.num_labels)]
+    views = _hedge_views(g)
     print(f"n={g.n}")
     print(f"m={g.m}")
     print(f"labels={g.num_labels}")

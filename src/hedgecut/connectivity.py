@@ -29,6 +29,7 @@ from .graph import (
     Forests,
     GraphError,
     HedgeGraph,
+    _by_label,
     _forest,
     _join,
     _root,
@@ -76,15 +77,12 @@ def validate_certificate(g: HedgeGraph, cert: CutCertificate) -> bool:
 
 
 def _hedge_forests(g: HedgeGraph) -> Forests:
-    """Each label's spanning forest over the original vertices.
+    """Each label's spanning forest over the original vertices, from ``_by_label``.
 
     A forest joins exactly the vertices its hedge joins, and one of its
     edges crosses a vertex split whenever any edge of the hedge does.
     """
-    pairs: list[list[tuple[int, int]]] = [[] for _ in range(g.num_labels)]
-    for u, v, lab in g.edges:
-        pairs[lab].append((u, v))
-    return [_forest(p) for p in pairs]
+    return [_forest(pairs) for pairs in _by_label(g)]
 
 
 def _certificate(g: HedgeGraph, labels: frozenset[int], method: str, exact: bool,

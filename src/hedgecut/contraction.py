@@ -17,14 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph import (
-    GraphError,
-    HedgeGraph,
-    LabelRef,
-    _join,
-    _rebuild,
-    _root,
-)
+from .graph import GraphError, HedgeGraph, LabelRef, _by_label, _forest, _join, _rebuild, _root
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,20 +125,23 @@ def contraction_sequence(g: HedgeGraph, order: Sequence[LabelRef]) -> Contractio
     """Contract every hedge of ``g`` in the given order.
 
     ``order`` must be a permutation of the label set (names or dense ids
-    of ``g``).  Steps run on a flat edge list, never cleaned up: a hedge's
-    rank is the step's drop in vertex count, its nullity the rest of its
-    edges, and they telescope to the rank and nullity of ``g``.
+    of ``g``).  Edges are grouped by label once and never cleaned up.  A
+    hedge's rank is the merges its pairs cause in the current graph
+    (``_forest``), its nullity the rest; they telescope to the rank and
+    nullity of ``g`` only if ``_forest`` and ``_merge`` agree at every step.
     """
     ids = [g.label_id(ref) for ref in order]
     if sorted(ids) != list(range(g.num_labels)):
         raise GraphError("order must be a permutation of the label set")
-    n, edges = g.n, g.edges  # label ids stay those of g
+    by_label = _by_label(g)
+    n = g.n
+    current = list(range(n))  # original vertex -> its id in the current graph
     steps: list[ContractionStep] = []
     for lab in ids:
-        pairs = [(u, v) for u, v, e_lab in edges if e_lab == lab]
+        pairs = [(current[u], current[v]) for u, v in by_label[lab]]
         vmap = _merge(n, pairs)
-        rank = n - (max(vmap) + 1)
+        rank = len(_forest(pairs))
         steps.append(ContractionStep(g.labels[lab], rank, len(pairs) - rank, vmap))
-        n -= rank
-        edges = [(vmap[u], vmap[v], e_lab) for u, v, e_lab in edges if e_lab != lab]
+        n = max(vmap) + 1
+        current = [vmap[x] for x in current]
     return ContractionTrace(tuple(steps), HedgeGraph(n, (), ()))  # no label is left

@@ -14,8 +14,9 @@ only the simple-input rules, and ``hgformat.parse`` only the HG1 syntax.
 Two merge routines serve the whole package: ``_forest`` keeps a spanning
 forest of a sparse pair set and gives every rank; ``_join`` (with
 ``_root``) is the one union-find over all vertices 0..n-1, behind the
-connectivity test, every contraction and every cut's sides.  ``_rebuild``
-builds every derived graph (contraction, removal).
+connectivity test, every contraction and every cut's sides.  ``_by_label``
+is the one grouping of edges by label (all views, forests, sequences);
+``_rebuild`` builds every derived graph (contraction, removal).
 """
 
 from __future__ import annotations
@@ -213,13 +214,29 @@ def _join(n: int, forests: Forests, removed: Collection[int],
     return parent, parts, used
 
 
+def _by_label(g: HedgeGraph) -> Forests:
+    """Each label's (u, v) pairs in edge order, loops and parallels kept."""
+    pairs: Forests = [[] for _ in range(g.num_labels)]
+    for u, v, lab in g.edges:
+        pairs[lab].append((u, v))
+    return pairs
+
+
+def _view(g: HedgeGraph, lab: int, pairs: list[tuple[int, int]]) -> HedgeView:
+    """The view of label ``lab`` from its pairs in edge order."""
+    return HedgeView(lab, g.labels[lab], tuple((u, v, lab) for u, v in pairs),
+                     frozenset(x for pair in pairs for x in pair), len(_forest(pairs)))
+
+
 def hedge_view(g: HedgeGraph, label: LabelRef) -> HedgeView:
     """The hedge of ``label``: edge subsequence, vertex set, rank."""
     lab = g.label_id(label)
-    edges = tuple(e for e in g.edges if e[2] == lab)
-    vertex_set = frozenset(x for u, v, _ in edges for x in (u, v))
-    rank = len(_forest((u, v) for u, v, _ in edges))
-    return HedgeView(lab, g.labels[lab], edges, vertex_set, rank)
+    return _view(g, lab, [(u, v) for u, v, e_lab in g.edges if e_lab == lab])
+
+
+def _hedge_views(g: HedgeGraph) -> list[HedgeView]:
+    """Every hedge's view in label id order, from one pass over the edges."""
+    return [_view(g, lab, pairs) for lab, pairs in enumerate(_by_label(g))]
 
 
 def graph_rank_nullity(g: HedgeGraph) -> tuple[int, int]:

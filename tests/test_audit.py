@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import hedgecut.audit
+import hedgecut.contraction
 from hedgecut import (
     UNIVERSAL_IDS,
     GeneratorParams,
@@ -234,16 +235,33 @@ ADJACENCY_READERS = {TheoremId.T2_RELABEL_GE_MAXDEG, TheoremId.T3_DA_LE_TOTAL,
 def test_each_claim_builds_only_what_it_reads(theorem, twoi, monkeypatch):
     # T1, the two *_SEQ sums, CONTRACTV_BAND and CONTRACT_MIN read neither
     built = []
-    for name in ("hedge_view", "adjacency_graph"):
+    for name in ("_hedge_views", "adjacency_graph"):
         def counted(h, *args, _fn=getattr(hedgecut.audit, name), _name=name):
             built.append((_name, h))
             return _fn(h, *args)
         monkeypatch.setattr(hedgecut.audit, name, counted)
     audit_theorem(theorem, twoi)
-    views = sum(1 for name, h in built if name == "hedge_view")
+    views = [h is twoi for name, h in built if name == "_hedge_views"]  # all views, one build
     own_adjacency = sum(1 for name, h in built if name == "adjacency_graph" and h is twoi)
-    assert views == (twoi.num_labels if theorem in VIEW_READERS else 0)
+    assert views == ([True] if theorem in VIEW_READERS else [])
     assert own_adjacency == (1 if theorem in ADJACENCY_READERS else 0)
+
+
+@pytest.mark.parametrize("theorem", [TheoremId.RANKSUM_SEQ, TheoremId.NULLSUM_SEQ])
+def test_seq_claims_catch_a_wrong_merge(theorem, monkeypatch):
+    # a vertex merge that also joins the two highest classes must show in the
+    # sequence sums, which take each step's rank from the hedge's own forest
+    merge = hedgecut.contraction._merge
+
+    def one_merge_too_many(n, pairs):
+        vmap = merge(n, pairs)
+        top = max(vmap)
+        return tuple(min(x, top - 1) for x in vmap) if top else vmap
+
+    graphs = [random_instance(GeneratorParams((4, 8), (1, 3), (2, 4), seed=seed)) for seed in range(20)]
+    assert all(v.holds for g in graphs for v in audit_theorem(theorem, g))
+    monkeypatch.setattr(hedgecut.contraction, "_merge", one_merge_too_many)
+    assert any(not v.holds for g in graphs for v in audit_theorem(theorem, g))
 
 
 class TestVerdictRecords:

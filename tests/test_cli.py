@@ -1,11 +1,12 @@
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from conftest import FIXTURES
-from hedgecut import TheoremId, cli, parse_verdict
+from hedgecut import TheoremId, build_graph, cli, emit, parse_verdict
 
 C4ALT = str(FIXTURES / "c4alt.hg")
 SPIDER = str(FIXTURES / "spider.hg")
@@ -48,6 +49,20 @@ class TestStats:
             "sum_label_degrees=8\n"
         )
         assert result.stderr == ""
+
+    def test_many_labels_in_linear_time(self, tmp_path, capsys):
+        # every view comes from one grouping of the edges by label, so the
+        # 4,000 hedges of this path cost one pass, not one pass each
+        n, labels = 40_000, 4_000
+        path = tmp_path / "path.hg"
+        path.write_text(emit(build_graph(n, [(v, v + 1, f"l{v % labels}") for v in range(n - 1)])))
+        start = time.perf_counter()
+        assert cli.main(["stats", str(path)]) == 0
+        assert time.perf_counter() - start < 2.0
+        out = capsys.readouterr().out.splitlines()
+        assert out[:3] == [f"n={n}", f"m={n - 1}", f"labels={labels}"]
+        assert out[8] == "hedge label=l0 span=10 rank=10 nullity=0"
+        assert out[-5:-3] == [f"sum_rank={n - 1}", "sum_nullity=0"]
 
 
 class TestConnectivity:

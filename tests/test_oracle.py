@@ -34,6 +34,7 @@ from hedgecut import (
     remove_hedges,
     validate_certificate,
 )
+from hedgecut.graph import _hedge_views
 
 
 def bipartition_oracle(n, edges):
@@ -125,6 +126,8 @@ def test_ranks_match_networkx_components():
             assert graph_rank_nullity(h) == rank_nullity(range(h.n), all_pairs)
             assert is_connected(h) == nx.is_connected(multigraph(range(h.n), all_pairs))
             disconnected += not is_connected(h)
+            # stats and the audit read every view from one grouping by label
+            assert _hedge_views(h) == [hedge_view(h, lab) for lab in range(h.num_labels)]
             for lab in range(h.num_labels):
                 pairs = [(u, v) for u, v, el in h.edges if el == lab]
                 vertices = {x for pair in pairs for x in pair}

@@ -40,7 +40,6 @@ from .connectivity import (
     validate_certificate,
 )
 from .contraction import (
-    CleanupReport,
     ContractionStep,
     ContractionTrace,
     cleanup,
@@ -67,7 +66,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AuditVerdict",
-    "CleanupReport",
     "ContractionStep",
     "ContractionTrace",
     "CutCertificate",

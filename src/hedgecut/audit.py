@@ -116,8 +116,6 @@ def instance_digest(text: str) -> str:
 def _chromatic_number(neighbors: Sequence[frozenset[int]]) -> int:
     """Exact chromatic number by backtracking; intended for tiny graphs."""
     count = len(neighbors)
-    if count == 0:
-        return 0
     order = sorted(range(count), key=lambda v: (-len(neighbors[v]), v))
     for q in range(1, count + 1):
         colors: dict[int, int] = {}
@@ -429,7 +427,15 @@ def _check_ranges(params: GeneratorParams) -> None:
             raise GraphError(f"{what} range must satisfy {least} <= lo <= hi")
 
 
-def _random_instance(rng: Rng, params: GeneratorParams) -> HedgeGraph:
+def random_instance(params: GeneratorParams) -> HedgeGraph:
+    """Seeded random connected simple instance with every label in use.
+
+    A uniform labeled tree (random Prüfer sequence) plus distinct extra
+    non-tree edges; labels drawn uniformly then repaired so each occurs.
+    Deterministic given params.
+    """
+    _check_ranges(params)
+    rng = Rng(params.seed)
     n_lo, n_hi = params.n_range
     extra_lo, extra_hi = params.extra_range
     lab_lo, lab_hi = params.label_range
@@ -460,17 +466,6 @@ def _random_instance(rng: Rng, params: GeneratorParams) -> HedgeGraph:
     return build_graph(n, [(u, v, f"l{lab}") for (u, v), lab in zip(pairs, labels)])
 
 
-def random_instance(params: GeneratorParams) -> HedgeGraph:
-    """Seeded random connected simple instance with every label in use.
-
-    A uniform labeled tree (random Prüfer sequence) plus distinct extra
-    non-tree edges; labels drawn uniformly then repaired so each occurs.
-    Deterministic given params.
-    """
-    _check_ranges(params)
-    return _random_instance(Rng(params.seed), params)
-
-
 def search_counterexample(theorem: TheoremId, params: GeneratorParams,
                           trials: int, *, count_loops: bool = True,
                           induced_degrees: bool = False) -> SearchResult:
@@ -489,7 +484,7 @@ def search_counterexample(theorem: TheoremId, params: GeneratorParams,
     checked = 0
     for t in range(trials):
         n = sizes[min(t // per_size, len(sizes) - 1)]
-        g = _random_instance(Rng(mix(params.seed, t)), replace(params, n_range=(n, n)))
+        g = random_instance(replace(params, n_range=(n, n), seed=mix(params.seed, t)))
         for v in audit_theorem(theorem, g, count_loops=count_loops,
                                induced_degrees=induced_degrees):
             checked += 1

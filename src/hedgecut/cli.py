@@ -15,6 +15,7 @@ import functools
 import os
 import sys
 from dataclasses import replace
+from typing import Iterable
 
 from .adjacency import greedy_relabel, max_adjacency_degree
 from .audit import (
@@ -126,7 +127,7 @@ def _cmd_contract(args: argparse.Namespace) -> int:
     g = _load(args.file)
     result = contract_hedge(g, args.hedge)
     if args.cleanup:
-        result, _ = cleanup(result)
+        result = cleanup(result)
     print(emit(result), end="")
     return 0
 
@@ -155,23 +156,19 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     if args.random and args.trials < 1:
         raise GraphError("--trials must be at least 1 with --random")
     ids = _theorem_selection(args.theorem)
+    if args.file is not None:
+        instances: Iterable[HedgeGraph] = [_load(args.file)]
+    else:
+        seed = _seed(args)
+        params = _parse_params(args.params, seed)
+        instances = (random_instance(replace(params, seed=mix(seed, t))) for t in range(args.trials))
     broken_universal = False
-
-    def run(g: HedgeGraph) -> None:
-        nonlocal broken_universal
+    for g in instances:
         for theorem in ids:
             for v in audit_theorem(theorem, g):
                 sys.stdout.write(format_verdict(v))
                 if not v.holds and theorem in UNIVERSAL_IDS:
                     broken_universal = True
-
-    if args.file is not None:
-        run(_load(args.file))
-    else:
-        seed = _seed(args)
-        params = _parse_params(args.params, seed)
-        for t in range(args.trials):
-            run(random_instance(replace(params, seed=mix(seed, t))))
     return 1 if broken_universal else 0
 
 

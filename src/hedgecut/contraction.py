@@ -3,13 +3,13 @@
 Contracting an edge merges its endpoints; contracting a hedge collapses
 each connected component of that hedge to a single vertex, deletes the
 loops that carry the contracted label, and keeps loops of every other
-label.  Clean-up (merging same-label parallels and same-label loops) is
-a separate step, never applied implicitly: the sequential rank/nullity
+label.  Clean-up merges same-label parallels and loops and returns just
+the graph; it is never applied implicitly: the sequential rank/nullity
 accounting is only exact when parallel edges survive contraction.
 
-One vertex merge (``_merge``) numbers each merged class by its minimum
-original id, in ascending order, and ``graph._rebuild`` re-densifies the
-surviving labels in id order, so all results are deterministic values.
+One vertex merge (``_merge``) numbers merged classes by minimum original
+id, ascending; ``graph._rebuild`` builds every result with edges and
+re-densifies its labels in id order, so results are deterministic values.
 """
 
 from __future__ import annotations
@@ -18,14 +18,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .graph import GraphError, HedgeGraph, LabelRef, _by_label, _forest, _join, _rebuild, _root
-
-
-@dataclass(frozen=True, slots=True)
-class CleanupReport:
-    """Edge counts removed by one clean-up pass."""
-
-    merged_parallel: int
-    merged_loops: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,30 +87,21 @@ def contract_hedge(g: HedgeGraph, label: LabelRef) -> HedgeGraph:
     return _rebuild(max(vmap) + 1, edges, g.labels)
 
 
-def cleanup(g: HedgeGraph) -> tuple[HedgeGraph, CleanupReport]:
+def cleanup(g: HedgeGraph) -> HedgeGraph:
     """Merge same-label parallel edges and same-label loops.
 
-    The first edge of each (vertex pair, label) class is kept in place;
-    later duplicates are dropped and counted.  Idempotent.
+    The first edge of each (vertex pair, label) class is kept in place and
+    later duplicates are dropped, so ``g.m - cleanup(g).m`` counts them.
+    Returns ``g`` itself when nothing merges.  Idempotent.
     """
     seen: set[tuple[int, int, int]] = set()
     kept: list[tuple[int, int, int]] = []
-    merged_parallel = 0
-    merged_loops = 0
     for u, v, lab in g.edges:
         key = (u, v, lab) if u <= v else (v, u, lab)
-        if key in seen:
-            if u == v:
-                merged_loops += 1
-            else:
-                merged_parallel += 1
-            continue
-        seen.add(key)
-        kept.append((u, v, lab))
-    report = CleanupReport(merged_parallel, merged_loops)
-    if not merged_parallel and not merged_loops:
-        return g, report
-    return HedgeGraph(g.n, tuple(kept), g.labels), report
+        if key not in seen:
+            seen.add(key)
+            kept.append((u, v, lab))
+    return g if len(kept) == g.m else _rebuild(g.n, kept, g.labels)
 
 
 def contraction_sequence(g: HedgeGraph, order: Sequence[LabelRef]) -> ContractionTrace:

@@ -6,6 +6,8 @@ Layout::
     u v label     # one line per edge, 0-based decimal vertex ids
     ...
 
+Only a line feed ends a line: a CRLF file parses (its carriage return is
+whitespace), and a form feed or a bare carriage return ends no line.
 ``#`` starts a comment running to end of line; blank lines are ignored.
 Labels are whitespace-free tokens.  ``parse`` accepts simple graphs only
 (the input contract) but checks only syntax, reporting a syntax fault
@@ -49,7 +51,8 @@ def parse(text: str) -> HedgeGraph:
     header_line = 0
     edges: list[tuple[int, int, str]] = []
     edge_lines: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # not splitlines(): it also breaks at \v, \f, \x1c-\x1e, \x85 and a bare \r
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

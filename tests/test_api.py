@@ -11,9 +11,9 @@ SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
 def test_exported_names():
     assert sorted(hedgecut.__all__) == [
-        "AuditVerdict", "CleanupReport", "ContractionStep", "ContractionTrace",
-        "CutCertificate", "GeneratorParams", "GraphError", "HedgeAdjacencyGraph",
-        "HedgeGraph", "HedgeView", "ParseError", "Relabeling", "Rng", "SearchResult",
+        "AuditVerdict", "ContractionStep", "ContractionTrace", "CutCertificate",
+        "GeneratorParams", "GraphError", "HedgeAdjacencyGraph", "HedgeGraph", "HedgeView",
+        "ParseError", "Relabeling", "Rng", "SearchResult",
         "TheoremId", "UNIVERSAL_IDS", "adjacency_graph", "audit_theorem",
         "brute_force_connectivity", "build_graph", "cleanup", "contract_edge",
         "contract_hedge", "contraction_sequence", "default_trial_count", "degree_summary",

@@ -327,6 +327,13 @@ class TestVerification:
         v = audit_theorem(TheoremId.RANKSUM_STATIC, c4alt)[0]
         assert not verify_certificate(dataclasses.replace(v, witness=[1, 2]))
 
+    def test_rejects_disconnected_instance(self, c4alt):
+        # the digest matches and the text parses, but no claim is audited off a connected graph
+        v = audit_theorem(TheoremId.RANKSUM_STATIC, c4alt)[0]
+        text = "HG1 3 1\n0 1 a\n"
+        assert not verify_certificate(dataclasses.replace(v, instance_text=text,
+                                                          digest=instance_digest(text)))
+
     def test_survives_record_round_trip(self, twoi):
         for v in audit_theorem(TheoremId.CONTRACTV_BAND, twoi):
             assert verify_certificate(parse_verdict(format_verdict(v)))
@@ -416,7 +423,9 @@ class TestSearch:
         result = search_counterexample(TheoremId.RANKSUM_STATIC, SEARCH_PARAMS, trials=200)
         assert result.found is not None
         assert not result.found.holds
-        assert result.trials_run <= 200
+        assert result.trials_run == result.verdicts_checked == 38
+        assert result.found.digest == ("ae6e94444b095e0d4305aeef4ca23b26"
+                                       "4a412ed521384f9eee3607fd668f49c6")
         assert verify_certificate(result.found)
 
     def test_exhausts_on_universal_claim(self):
@@ -435,12 +444,18 @@ class TestSearch:
         found = search_counterexample(TheoremId.CONTRACT_MIN, wide, trials=2000,
                                       count_loops=False)
         assert found.found is not None
+        assert (found.trials_run, found.verdicts_checked) == (504, 742)
+        assert found.found.digest == ("e22e059a2d1f7eb83e8470f61b821d29"
+                                      "4c69f85b259befe9fdd64bebeacd1904")
         assert found.found.witness["count_loops"] is False
         assert verify_certificate(found.found)
 
         found = search_counterexample(TheoremId.T3_DA_LE_TOTAL, wide, trials=2000,
                                       induced_degrees=True)
         assert found.found is not None
+        assert (found.trials_run, found.verdicts_checked) == (507, 748)
+        assert found.found.digest == ("d6c55f510ec9fb9f8ad7fb1937d90156"
+                                      "419b10654c615b7c2dbe41e1edfdc7e6")
         assert found.found.witness["induced_degrees"] is True
         assert verify_certificate(found.found)
 

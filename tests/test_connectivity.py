@@ -137,6 +137,11 @@ class TestOrdinaryMinCut:
     def test_side_a_holds_vertex_zero(self, triangle):
         assert 0 in ordinary_edge_min_cut(triangle).side_a
 
+    def test_disconnected_gives_empty_exact_cut(self, disconnected):
+        cert = ordinary_edge_min_cut(disconnected)
+        assert (cert.size, cert.labels, cert.exact, cert.method) == (0, frozenset(), True, "fastpath")
+        assert (cert.side_a, cert.side_b) == ({0, 1}, {2, 3})
+
     def test_memory_is_linear(self):
         # an n x n weight matrix alone would take about 1.3 MB at n = 400
         n = 400

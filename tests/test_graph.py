@@ -56,6 +56,10 @@ class TestBuildGraph:
         with pytest.raises(GraphError, match="at least one edge"):
             HedgeGraph(2, ((0, 1, 0),), ("a", "b"))
 
+    def test_value_type_rejects_repeated_label_name(self):
+        with pytest.raises(GraphError, match="^label names must be unique$"):
+            HedgeGraph(2, ((0, 1, 0), (0, 1, 1)), ("a", "a"))
+
     def test_non_str_label_names_rejected(self):
         # GraphError, not a TypeError from the whitespace scan or from
         # interning an unhashable name

@@ -93,6 +93,29 @@ class TestParse:
             parse("HG1 2 1\n0 1\n")
         assert err.value.line == 2
 
+    # every break str.splitlines() knows besides "\n" and "\r\n"
+    SEPARATORS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\r", "\x85", "\u2028", "\u2029"]
+
+    @pytest.mark.parametrize("sep", SEPARATORS, ids=repr)
+    def test_only_line_feeds_number_lines(self, sep):
+        text = f"HG1 3 2\n{sep}# page\n0 1 a\n1 2 b\n5 5 c\n"
+        with pytest.raises(ParseError, match="more than 2 data lines") as err:
+            parse(text)
+        assert err.value.line == text[:text.index("5 5 c")].count("\n") + 1 == 5
+
+    @pytest.mark.parametrize("sep", SEPARATORS, ids=repr)
+    def test_other_breaks_do_not_end_a_line(self, sep):
+        with pytest.raises(ParseError, match="u v label") as err:
+            parse(f"HG1 3 2\n0 1 a{sep}1 2 b\n")
+        assert err.value.line == 2
+
+    def test_crlf_parses_and_bare_cr_does_not(self, c4alt):
+        text = fixture_text("c4alt.hg")
+        assert parse(text.replace("\n", "\r\n")) == c4alt
+        with pytest.raises(ParseError) as err:
+            parse(text.replace("\n", "\r"))
+        assert str(err.value) == "line 1: expected header 'HG1 <n> <m>'"
+
 
 class TestEmit:
     def test_canonical_form(self, c4alt):

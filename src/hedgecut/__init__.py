@@ -8,7 +8,6 @@ and hand-built instances.
 """
 
 from .adjacency import (
-    HedgeAdjacencyGraph,
     Relabeling,
     adjacency_graph,
     greedy_relabel,
@@ -71,7 +70,6 @@ __all__ = [
     "CutCertificate",
     "GeneratorParams",
     "GraphError",
-    "HedgeAdjacencyGraph",
     "HedgeGraph",
     "HedgeView",
     "ParseError",

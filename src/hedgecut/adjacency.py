@@ -2,8 +2,10 @@
 
 Two hedges are adjacent when their vertex sets intersect.  The hedge
 adjacency graph has one vertex per label and an edge per adjacent pair;
-a relabeling is a proper coloring of that graph, so hedges sharing a
-vertex always end up with distinct new labels.
+it is the tuple of its neighbor sets, indexed by label id, which both
+colorings read (``_greedy_colors`` here, the audit's exact chromatic
+number).  A relabeling is a proper coloring of that graph, so hedges
+sharing a vertex always end up with distinct new labels.
 """
 
 from __future__ import annotations
@@ -14,22 +16,6 @@ from .graph import HedgeGraph, _vertex_label_sets
 
 
 @dataclass(frozen=True, slots=True)
-class HedgeAdjacencyGraph:
-    """Simple graph over label ids; ``neighbors[i]`` is the set adjacent to hedge i."""
-
-    labels: tuple[str, ...]
-    neighbors: tuple[frozenset[int], ...]
-
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple((r, t) for r in range(len(self.labels))
-                     for t in sorted(self.neighbors[r]) if r < t)
-
-    def degree(self, label_id: int) -> int:
-        return len(self.neighbors[label_id])
-
-
-@dataclass(frozen=True, slots=True)
 class Relabeling:
     """Proper coloring of the hedge adjacency graph; colors are new label ids."""
 
@@ -37,20 +23,19 @@ class Relabeling:
     num_colors: int
 
 
-def adjacency_graph(g: HedgeGraph) -> HedgeAdjacencyGraph:
-    """Build the hedge adjacency graph from per-vertex incident label sets."""
+def adjacency_graph(g: HedgeGraph) -> tuple[frozenset[int], ...]:
+    """Neighbor sets of the hedge adjacency graph (``[i]``: hedges adjacent to hedge i)."""
     neighbors: list[set[int]] = [set() for _ in range(g.num_labels)]
     for incident in _vertex_label_sets(g):
         for r in incident:
             neighbors[r] |= incident
     for r, ns in enumerate(neighbors):
         ns.discard(r)
-    return HedgeAdjacencyGraph(g.labels, tuple(frozenset(ns) for ns in neighbors))
+    return tuple(frozenset(ns) for ns in neighbors)
 
 
 def max_adjacency_degree(g: HedgeGraph) -> int:
-    adj = adjacency_graph(g)
-    return max((adj.degree(i) for i in range(g.num_labels)), default=0)
+    return max(map(len, adjacency_graph(g)), default=0)
 
 
 def greedy_relabel(g: HedgeGraph) -> Relabeling:
@@ -64,12 +49,12 @@ def greedy_relabel(g: HedgeGraph) -> Relabeling:
     return _greedy_colors(adjacency_graph(g))
 
 
-def _greedy_colors(adj: HedgeAdjacencyGraph) -> Relabeling:
+def _greedy_colors(neighbors: tuple[frozenset[int], ...]) -> Relabeling:
     """``greedy_relabel``'s coloring of an adjacency graph already built."""
-    ids = list(range(len(adj.labels)))
+    ids = range(len(neighbors))
     colors: dict[int, int] = {}
-    for i in sorted(ids, key=lambda i: (-adj.degree(i), i)):
-        taken = {colors[j] for j in adj.neighbors[i] if j in colors}
+    for i in sorted(ids, key=lambda i: (-len(neighbors[i]), i)):
+        taken = {colors[j] for j in neighbors[i] if j in colors}
         c = 0
         while c in taken:
             c += 1

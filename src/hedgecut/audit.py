@@ -194,11 +194,11 @@ def audit_theorem(theorem: TheoremId, g: HedgeGraph, *, count_loops: bool = True
     if theorem in (TheoremId.T2_RELABEL_GE_MAXDEG, TheoremId.T4_MAXDA_GE_MAXDEG,
                    TheoremId.T5_RELABEL_GE_MAXDA, TheoremId.VIZING_BAND, TheoremId.COROLLARY_CHAIN):
         adj = adjacency_graph(g)
-        max_da = max((adj.degree(i) for i in range(g.num_labels)), default=0)
+        max_da = max(map(len, adj), default=0)
         if theorem is TheoremId.T4_MAXDA_GE_MAXDEG:  # the one claim here that needs no relabeling
             return [verdict(max_da >= big_delta, max_da, big_delta)]
         greedy_q = _greedy_colors(adj).num_colors
-        optimal_q = _chromatic_number(adj.neighbors) if g.num_labels <= 8 else None
+        optimal_q = _chromatic_number(adj) if g.num_labels <= 8 else None
         q = optimal_q if optimal_q is not None else greedy_q
         q_witness = {"greedy_q": greedy_q, "optimal_q": optimal_q}
         if theorem is TheoremId.T2_RELABEL_GE_MAXDEG:
@@ -216,8 +216,7 @@ def audit_theorem(theorem: TheoremId, g: HedgeGraph, *, count_loops: bool = True
         out = []
         for i, view in enumerate(_hedge_views(g)):
             total = hedge_total(view)
-            out.append(verdict(adj.degree(i) <= total, adj.degree(i), total,
-                               {"hedge": g.labels[i]}))
+            out.append(verdict(len(adj[i]) <= total, len(adj[i]), total, {"hedge": g.labels[i]}))
         return out
 
     if theorem in (TheoremId.RANKSUM_STATIC, TheoremId.NULLSUM_STATIC):
@@ -301,11 +300,11 @@ def audit_theorem(theorem: TheoremId, g: HedgeGraph, *, count_loops: bool = True
             for j in range(g.num_labels):
                 if j == i:
                     continue
-                actual = adj_after.degree(contracted.label_id(g.labels[j]))
-                if j in adj.neighbors[i]:
-                    predicted = adj.degree(j) + adj.degree(i) - q + 1
+                actual = len(adj_after[contracted.label_id(g.labels[j])])
+                if j in adj[i]:
+                    predicted = len(adj[j]) + len(adj[i]) - q + 1
                 else:
-                    predicted = adj.degree(j)
+                    predicted = len(adj[j])
                 out.append(verdict(actual == predicted, actual, predicted,
                                    {"contracted": g.labels[i], "hedge": g.labels[j], "q": q}))
         return out
@@ -327,8 +326,8 @@ def format_verdict(v: AuditVerdict) -> str:
 
 def parse_verdict(text: str) -> AuditVerdict:
     """Inverse of format_verdict; raises ParseError on malformed records."""
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("verdict "):
+    lines = text.split("\n")  # as in HG1 text, only "\n" ends a line
+    if not lines[0].startswith("verdict "):
         raise ParseError(1, "expected a 'verdict ...' header line")
     fields: dict[str, str] = {}
     for token in lines[0].split()[1:]:
@@ -356,7 +355,7 @@ def parse_verdict(text: str) -> AuditVerdict:
     try:
         end = lines.index("instance-end", 2)
     except ValueError:
-        raise ParseError(len(lines), "missing 'instance-end'") from None
+        raise ParseError(len(lines) - (lines[-1] == ""), "missing 'instance-end'") from None
     instance_text = "\n".join(lines[2:end]) + "\n"
     return AuditVerdict(theorem, instance_text, fields["digest"], fields["holds"] == "true",
                         lhs, rhs, witness)

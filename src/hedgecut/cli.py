@@ -233,7 +233,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ParseError, GraphError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        try:
+            print(f"error: {exc}", file=sys.stderr)
+        except OSError:  # stderr closed as well, e.g. both fed one pipe; exit 1 means a broken claim
+            pass
         return 2
 
 

@@ -7,9 +7,9 @@ label.  Clean-up merges same-label parallels and loops and returns just
 the graph; it is never applied implicitly: the sequential rank/nullity
 accounting is only exact when parallel edges survive contraction.
 
-One vertex merge (``_merge``) numbers merged classes by minimum original
-id, ascending; ``graph._rebuild`` builds every result with edges and
-re-densifies its labels in id order, so results are deterministic values.
+One vertex merge (``_merge``) numbers classes by minimum original id and
+``graph._rebuild`` builds every result graph with labels in id order, so
+results are deterministic values; a sequence builds no graph at all.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ class ContractionStep:
 @dataclass(frozen=True, slots=True)
 class ContractionTrace:
     steps: tuple[ContractionStep, ...]
-    final_graph: HedgeGraph
 
     @property
     def total_rank_consumed(self) -> int:
@@ -127,4 +126,4 @@ def contraction_sequence(g: HedgeGraph, order: Sequence[LabelRef]) -> Contractio
         steps.append(ContractionStep(g.labels[lab], rank, len(pairs) - rank, vmap))
         n = max(vmap) + 1
         current = [vmap[x] for x in current]
-    return ContractionTrace(tuple(steps), HedgeGraph(n, (), ()))  # no label is left
+    return ContractionTrace(tuple(steps))

@@ -17,7 +17,8 @@ forest of a sparse pair set and gives every rank; ``_join`` (with
 connectivity test, ``contraction._merge`` and every cut's sides; only a
 contraction trial relinks its own class lists, which ``_root`` slowed by a
 quarter.  ``_by_label`` is the one grouping of edges by label (all views,
-forests, sequences); ``_rebuild`` builds every derived graph with edges.
+forests, sequences).  ``build_graph`` builds every input graph, ``_rebuild``
+every derived one, and nothing else constructs a ``HedgeGraph``.
 """
 
 from __future__ import annotations

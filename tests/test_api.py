@@ -12,7 +12,7 @@ SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 def test_exported_names():
     assert sorted(hedgecut.__all__) == [
         "AuditVerdict", "ContractionStep", "ContractionTrace", "CutCertificate",
-        "GeneratorParams", "GraphError", "HedgeAdjacencyGraph", "HedgeGraph", "HedgeView",
+        "GeneratorParams", "GraphError", "HedgeGraph", "HedgeView",
         "ParseError", "Relabeling", "Rng", "SearchResult",
         "TheoremId", "UNIVERSAL_IDS", "adjacency_graph", "audit_theorem",
         "brute_force_connectivity", "build_graph", "cleanup", "contract_edge",

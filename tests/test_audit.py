@@ -345,6 +345,18 @@ class TestVerification:
         for v in verdicts:
             assert verify_certificate(parse_verdict(format_verdict(v)))
 
+    # every line break str.splitlines() knows besides "\n"; HG1 text ends lines at "\n" only
+    @pytest.mark.parametrize("brk", ["\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+                                     "\u2028", "\u2029"])
+    def test_comment_line_break_survives_record_round_trip(self, c4alt, brk):
+        v = audit_theorem(TheoremId.RANKSUM_STATIC, c4alt)[0]
+        head, rest = v.instance_text.split("\n", 1)
+        text = f"{head}\n# page{brk}break\n{rest}"
+        genuine = dataclasses.replace(v, instance_text=text, digest=instance_digest(text))
+        assert verify_certificate(genuine)
+        assert parse_verdict(format_verdict(genuine)) == genuine
+        assert verify_certificate(parse_verdict(format_verdict(genuine)))
+
     def test_non_ascii_comment_is_a_digest_mismatch(self, c4alt):
         lines = format_verdict(audit_theorem(TheoremId.RANKSUM_STATIC, c4alt)[0]).splitlines(keepends=True)
         record = parse_verdict("".join([*lines[:2], "# café\n", *lines[2:]]))

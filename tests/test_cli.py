@@ -1,3 +1,4 @@
+import io
 import os
 import subprocess
 import sys
@@ -296,6 +297,16 @@ class TestErrorHandling:
 
     def test_unknown_subcommand(self):
         assert run_cli("frobnicate").returncode == 2
+
+    def test_closed_pipe_exits_2(self, monkeypatch):
+        # stdout and stderr feed one pipe its reader closed, so the error
+        # message cannot be written either; exit 1 would claim a broken theorem
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        monkeypatch.setattr(sys, "stderr", ClosedPipe())
+        assert cli.main(["generate", "--seed", "1"]) == 2
 
 
 # command -> (argv with "{}" for the instance file, one bad option added to a good run)

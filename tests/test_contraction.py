@@ -214,7 +214,7 @@ class TestContractionSequence:
         trace = contraction_sequence(single_label_path, ["s"])
         assert len(trace.steps) == 1
         assert trace.steps[0].rank_consumed == 3
-        assert trace.final_graph.n == 1
+        assert max(trace.steps[-1].vertex_map) == 0
 
     def test_static_sums_differ_but_sequence_telescopes(self, c4alt):
         static = sum(hedge_view(c4alt, name).rank for name in c4alt.labels)
@@ -247,7 +247,7 @@ class TestContractionSequence:
                                           for u, v, lab in current.edges
                                           if current.labels[lab] != step.label)
                 current = nxt
-            assert trace.final_graph == current
+            assert (current.n, current.m, current.labels) == (max(vmap) + 1, 0, ())
 
     def test_bad_permutation(self, c4alt):
         with pytest.raises(GraphError, match="permutation"):
@@ -260,5 +260,21 @@ class TestContractionSequence:
     def test_final_graph_of_connected_input_is_a_point(self, triangle, spider):
         for g in (triangle, spider):
             trace = contraction_sequence(g, list(g.labels))
-            assert trace.final_graph.n == 1
-            assert trace.final_graph.m == 0
+            assert max(trace.steps[-1].vertex_map) == 0
+
+    def test_builds_no_graph(self, monkeypatch):
+        # a trace is its steps; the final vertex count is the last vertex map's
+        graphs = [random_instance(GeneratorParams((2, 9), (0, 6), (1, 5), seed=seed))
+                  for seed in range(20)]
+        built = []
+        post_init = HedgeGraph.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+        monkeypatch.setattr(HedgeGraph, "__post_init__", counted)
+        for g in graphs:
+            contraction_sequence(g, list(g.labels))
+        assert built == []
+        contract_hedge(graphs[0], 0)  # the count does see a derived graph
+        assert len(built) == 1

@@ -26,7 +26,7 @@ class Relabeling:
 def adjacency_graph(g: HedgeGraph) -> tuple[frozenset[int], ...]:
     """Neighbor sets of the hedge adjacency graph (``[i]``: hedges adjacent to hedge i)."""
     neighbors: list[set[int]] = [set() for _ in range(g.num_labels)]
-    for incident in _vertex_label_sets(g):
+    for incident in _vertex_label_sets(g.n, g.edges):
         for r in incident:
             neighbors[r] |= incident
     for r, ns in enumerate(neighbors):

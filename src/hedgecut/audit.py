@@ -12,6 +12,8 @@ Each claim computes only what it reads (views, adjacency graph,
 relabeling), and nothing is shared across calls: ``bench/spans.py`` times
 one span per claim and ``verify_certificate`` replays one claim from
 cold, so a value cached by one claim would hide the cost of another.
+The contraction claims count degrees on contracted edge lists; only
+``CONTRACT_ADJ`` builds a contracted graph, one per label.
 
 Degree conventions are explicit: by default a loop contributes its
 label to its vertex once, and hedge degree totals use degrees measured
@@ -32,8 +34,8 @@ from typing import Any, Sequence
 
 from .adjacency import _greedy_colors, adjacency_graph
 from .connectivity import brute_force_connectivity
-from .contraction import contract_edge, contract_hedge, contraction_sequence
-from .graph import (GraphError, HedgeGraph, HedgeView, _hedge_views, _vertex_label_sets,
+from .contraction import _contract, _merge, contract_hedge, contraction_sequence
+from .graph import (Edge, GraphError, HedgeGraph, HedgeView, _hedge_views, _vertex_label_sets,
                     build_graph, graph_rank_nullity, is_connected)
 from .hgformat import ParseError, emit, parse
 from .rng import Rng, mix
@@ -177,15 +179,17 @@ def audit_theorem(theorem: TheoremId, g: HedgeGraph, *, count_loops: bool = True
             witness.update(extra)
         return AuditVerdict(theorem, text, digest, holds, lhs, rhs, witness or None)
 
-    def degrees_of(h: HedgeGraph, within: frozenset[int] | None = None) -> list[int]:
-        return [len(s) for s in _vertex_label_sets(h, count_loops, within)]
+    def degrees_of(n: int, edges: Sequence[Edge]) -> list[int]:
+        return [len(s) for s in _vertex_label_sets(n, edges, count_loops)]
 
-    degrees = degrees_of(g)
+    degrees = degrees_of(g.n, g.edges)
     delta, big_delta = min(degrees), max(degrees)
 
     def hedge_total(view: HedgeView) -> int:
-        inner = degrees_of(g, view.vertex_set) if induced_degrees else degrees
-        return sum(inner[v] for v in view.vertex_set)
+        inside = view.vertex_set
+        if induced_degrees:  # only edges with both ends inside count, so no vertex outside has any
+            return sum(degrees_of(g.n, [e for e in g.edges if e[0] in inside and e[1] in inside]))
+        return sum(degrees[v] for v in inside)
 
     if theorem is TheoremId.T1_MIN_DEG_BOUND:
         lam = brute_force_connectivity(g, cap=g.num_labels).size
@@ -259,8 +263,9 @@ def audit_theorem(theorem: TheoremId, g: HedgeGraph, *, count_loops: bool = True
         for idx, (u, v, _) in enumerate(g.edges):
             if u == v:
                 continue
-            contracted, w = contract_edge(g, idx)
-            dw = degrees_of(contracted)[w]
+            vmap = _merge(g.n, [(u, v)])
+            kept = [(vmap[a], vmap[b], lab) for i, (a, b, lab) in enumerate(g.edges) if i != idx]
+            dw = degrees_of(g.n - 1, kept)[vmap[u]]
             band = [max(degrees[u], degrees[v]) - 1, degrees[u] + degrees[v] - 2]
             out.append(verdict(band[0] <= dw <= band[1], dw, band, {"edge": idx}))
         return out
@@ -268,25 +273,18 @@ def audit_theorem(theorem: TheoremId, g: HedgeGraph, *, count_loops: bool = True
     if theorem is TheoremId.CONTRACT_MIN:
         out = []
         for i in range(g.num_labels):
-            after = degrees_of(contract_hedge(g, i))
-            lhs = min(after)
+            lhs = min(degrees_of(*_contract(g, i)))
             out.append(verdict(lhs >= delta - 1, lhs, delta - 1, {"hedge": g.labels[i]}))
         return out
 
-    if theorem is TheoremId.CONTRACT_H:
+    if theorem in (TheoremId.CONTRACT_H, TheoremId.CONTRACT_SUM):
         out = []
         for i, view in enumerate(_hedge_views(g)):
-            lhs = sum(degrees_of(contract_hedge(g, i)))
-            rhs = sum(degrees) - 2 * view.rank
-            out.append(verdict(lhs <= rhs, lhs, rhs, {"hedge": g.labels[i]}))
-        return out
-
-    if theorem is TheoremId.CONTRACT_SUM:
-        out = []
-        for i, view in enumerate(_hedge_views(g)):
-            after_total = sum(degrees_of(contract_hedge(g, i)))
-            lhs = sum(degrees)
-            rhs = after_total + hedge_total(view) - view.span * (delta - 1)
+            after_total = sum(degrees_of(*_contract(g, i)))
+            if theorem is TheoremId.CONTRACT_H:
+                lhs, rhs = after_total, sum(degrees) - 2 * view.rank
+            else:
+                lhs, rhs = sum(degrees), after_total + hedge_total(view) - view.span * (delta - 1)
             out.append(verdict(lhs <= rhs, lhs, rhs, {"hedge": g.labels[i]}))
         return out
 
@@ -295,12 +293,11 @@ def audit_theorem(theorem: TheoremId, g: HedgeGraph, *, count_loops: bool = True
         q = _greedy_colors(adj).num_colors
         out = []
         for i in range(g.num_labels):
-            contracted = contract_hedge(g, i)
-            adj_after = adjacency_graph(contracted)
+            adj_after = adjacency_graph(contract_hedge(g, i))
             for j in range(g.num_labels):
                 if j == i:
                     continue
-                actual = len(adj_after[contracted.label_id(g.labels[j])])
+                actual = len(adj_after[j - (j > i)])  # contraction drops label i, keeps the order
                 if j in adj[i]:
                     predicted = len(adj[j]) + len(adj[i]) - q + 1
                 else:

@@ -232,6 +232,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:  # the reader closed stdout early: no message; 1 means a broken claim
+        return 2
     except (ParseError, GraphError, OSError) as exc:
         try:
             print(f"error: {exc}", file=sys.stderr)

@@ -105,7 +105,7 @@ def min_label_degree_bound(g: HedgeGraph) -> int:
     """Minimum label degree; always an upper bound on the connectivity."""
     if not _connected(g):
         raise GraphError("degree bound requires a connected graph")
-    return min(len(s) for s in _vertex_label_sets(g))
+    return min(len(s) for s in _vertex_label_sets(g.n, g.edges))
 
 
 def _degree_bound_certificate(g: HedgeGraph, sets: list[set[int]],
@@ -132,7 +132,7 @@ def brute_force_connectivity(g: HedgeGraph, cap: int = 20) -> CutCertificate:
         return _certificate(g, frozenset(), "brute", True)
     if g.num_labels > cap:
         raise GraphError(f"label count {g.num_labels} exceeds the enumeration cap {cap}")
-    bound = min(len(s) for s in _vertex_label_sets(g))
+    bound = min(len(s) for s in _vertex_label_sets(g.n, g.edges))
     forests = _hedge_forests(g)
     big_first = sorted(range(g.num_labels), key=lambda lab: -len(forests[lab]))
     spanning: list[int] = []  # label masks of spanning trees found, newest first
@@ -288,7 +288,7 @@ def randomized_connectivity(g: HedgeGraph, trials: int | None = None,
             if len(best) == 1:
                 break  # connected graphs need at least one hedge removed
     if best is None:
-        return _degree_bound_certificate(g, _vertex_label_sets(g))
+        return _degree_bound_certificate(g, _vertex_label_sets(g.n, g.edges))
     return _certificate(g, best, "randomized", False, forests)
 
 
@@ -311,7 +311,7 @@ def hedge_connectivity(g: HedgeGraph, method: str = "auto", cap: int = 20,
         return _certificate(g, frozenset(), "fastpath", True)
     if method == "random":
         return randomized_connectivity(g, trials, base_seed)
-    sets = _vertex_label_sets(g)
+    sets = _vertex_label_sets(g.n, g.edges)
     if min(len(s) for s in sets) == 1:
         # all edges at such a vertex carry one label; removing it isolates the vertex
         return _degree_bound_certificate(g, sets, exact=True)

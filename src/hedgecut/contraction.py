@@ -9,7 +9,9 @@ accounting is only exact when parallel edges survive contraction.
 
 One vertex merge (``_merge``) numbers classes by minimum original id and
 ``graph._rebuild`` builds every result graph with labels in id order, so
-results are deterministic values; a sequence builds no graph at all.
+results are deterministic values.  ``_contract`` is the hedge contraction
+that ``contract_hedge`` wraps and the audit reads as an edge list; a
+sequence builds no graph at all.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph import GraphError, HedgeGraph, LabelRef, _by_label, _forest, _join, _rebuild, _root
+from .graph import Edge, GraphError, HedgeGraph, LabelRef, _by_label, _forest, _join, _rebuild, _root
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,10 +82,13 @@ def contract_hedge(g: HedgeGraph, label: LabelRef) -> HedgeGraph:
     loops), loops of other labels are kept, and the label is dropped
     from the label set.  No clean-up is applied.
     """
-    lab = g.label_id(label)
+    return _rebuild(*_contract(g, g.label_id(label)), g.labels)
+
+
+def _contract(g: HedgeGraph, lab: int) -> tuple[int, list[Edge]]:
+    """Vertex count and edges of ``g`` with hedge ``lab`` contracted, in ``g``'s label ids."""
     vmap = _merge(g.n, [(u, v) for u, v, e_lab in g.edges if e_lab == lab])
-    edges = [(vmap[u], vmap[v], e_lab) for u, v, e_lab in g.edges if e_lab != lab]
-    return _rebuild(max(vmap) + 1, edges, g.labels)
+    return max(vmap) + 1, [(vmap[u], vmap[v], e_lab) for u, v, e_lab in g.edges if e_lab != lab]
 
 
 def cleanup(g: HedgeGraph) -> HedgeGraph:

@@ -17,7 +17,8 @@ forest of a sparse pair set and gives every rank; ``_join`` (with
 connectivity test, ``contraction._merge`` and every cut's sides; only a
 contraction trial relinks its own class lists, which ``_root`` slowed by a
 quarter.  ``_by_label`` is the one grouping of edges by label (all views,
-forests, sequences).  ``build_graph`` builds every input graph, ``_rebuild``
+forests, sequences), ``_vertex_label_sets`` the one label-degree count, of
+any edge list.  ``build_graph`` builds every input graph, ``_rebuild``
 every derived one, and nothing else constructs a ``HedgeGraph``.
 """
 
@@ -251,19 +252,16 @@ def graph_rank_nullity(g: HedgeGraph) -> tuple[int, int]:
     return rank, g.m - rank
 
 
-def _vertex_label_sets(g: HedgeGraph, count_loops: bool = True,
-                       within: frozenset[int] | None = None) -> list[set[int]]:
-    """Incident label sets per vertex: the one label-degree convention.
+def _vertex_label_sets(n: int, edges: Iterable[Edge], count_loops: bool = True) -> list[set[int]]:
+    """Incident label sets of vertices 0..n-1: the one label-degree convention.
 
     A loop adds its label to its vertex once, or not at all without
-    ``count_loops``; with ``within``, only edges inside that vertex set
-    count (degrees induced by a hedge's vertex set).
+    ``count_loops``.  ``edges`` need not form a valid graph: a contracted
+    list, whose label ids skip the contracted one, is counted as it is.
     """
-    sets: list[set[int]] = [set() for _ in range(g.n)]
-    for u, v, lab in g.edges:
+    sets: list[set[int]] = [set() for _ in range(n)]
+    for u, v, lab in edges:
         if u == v and not count_loops:
-            continue
-        if within is not None and (u not in within or v not in within):
             continue
         sets[u].add(lab)
         sets[v].add(lab)
@@ -274,12 +272,12 @@ def label_degree(g: HedgeGraph, v: int) -> int:
     """Number of distinct labels on edges incident to ``v`` (a loop counts once)."""
     if not (0 <= v < g.n):
         raise GraphError(f"vertex {v} out of range")
-    return len(_vertex_label_sets(g)[v])
+    return len(_vertex_label_sets(g.n, g.edges)[v])
 
 
 def degree_summary(g: HedgeGraph) -> tuple[int, int, int]:
     """(min, max, total) of the label degree over all vertices."""
-    degs = [len(s) for s in _vertex_label_sets(g)]
+    degs = [len(s) for s in _vertex_label_sets(g.n, g.edges)]
     return min(degs), max(degs), sum(degs)
 
 

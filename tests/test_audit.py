@@ -11,13 +11,17 @@ from hedgecut import (
     UNIVERSAL_IDS,
     GeneratorParams,
     GraphError,
+    HedgeGraph,
     ParseError,
     TheoremId,
+    adjacency_graph,
     audit_theorem,
     build_graph,
+    contract_edge,
     contract_hedge,
     emit,
     format_verdict,
+    hedge_view,
     instance_digest,
     is_connected,
     parse,
@@ -245,6 +249,77 @@ def test_each_claim_builds_only_what_it_reads(theorem, twoi, monkeypatch):
     own_adjacency = sum(1 for name, h in built if name == "adjacency_graph" and h is twoi)
     assert views == ([True] if theorem in VIEW_READERS else [])
     assert own_adjacency == (1 if theorem in ADJACENCY_READERS else 0)
+
+
+DEGREE_COUNTING_CLAIMS = (TheoremId.CONTRACTV_BAND, TheoremId.CONTRACT_MIN, TheoremId.CONTRACT_H,
+                          TheoremId.CONTRACT_SUM)
+ALL_MODES = [{"count_loops": loops, "induced_degrees": induced}
+             for loops in (True, False) for induced in (False, True)]
+
+
+@pytest.mark.parametrize("name", ["twoi", "contracted"])
+def test_contraction_claims_build_no_graph(name, monkeypatch):
+    # the four claims count degrees on contracted edge lists; CONTRACT_ADJ
+    # still builds one contracted graph per label for adjacency_graph
+    g = _golden_graph(name)
+    built = []
+    post_init = HedgeGraph.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+    monkeypatch.setattr(HedgeGraph, "__post_init__", counted)
+    for mode in ALL_MODES:
+        for theorem in DEGREE_COUNTING_CLAIMS:
+            assert audit_theorem(theorem, g, **mode)
+    assert built == []
+    audit_theorem(TheoremId.CONTRACT_ADJ, g)
+    assert len(built) == g.num_labels
+
+
+def _label_degrees(h, count_loops, inside=None):
+    """Distinct labels at each vertex, counted vertex by vertex; ``inside`` keeps edges within it."""
+    edges = [(u, v, lab) for u, v, lab in h.edges
+             if (count_loops or u != v) and (inside is None or (u in inside and v in inside))]
+    return [len({lab for u, v, lab in edges if x in (u, v)}) for x in range(h.n)]
+
+
+def test_contraction_claim_values_match_a_direct_count():
+    graphs = []
+    for seed in range(48):
+        g = random_instance(GeneratorParams((3, 8), (1, 4), (2, 5), seed=seed))
+        graphs.append(g)
+        for i in range(g.num_labels):
+            h = contract_hedge(g, i)
+            if h.n >= 2 and is_connected(h):
+                graphs.append(h)
+                break
+    assert len(graphs) == 96  # every instance has a label whose contraction leaves 2+ vertices
+    assert any(u == v for h in graphs for u, v, _ in h.edges)  # loops occur
+    assert any(len({frozenset(e[:2]) for e in h.edges}) < h.m for h in graphs)  # parallels occur
+    for g in graphs:
+        for mode in ALL_MODES:
+            loops = mode["count_loops"]
+            degrees = _label_degrees(g, loops)
+            for v in audit_theorem(TheoremId.CONTRACTV_BAND, g, **mode):
+                h, w = contract_edge(g, v.witness["edge"])
+                assert v.lhs == _label_degrees(h, loops)[w]
+            for theorem in (TheoremId.CONTRACT_MIN, TheoremId.CONTRACT_H, TheoremId.CONTRACT_SUM):
+                for v in audit_theorem(theorem, g, **mode):
+                    view = hedge_view(g, v.witness["hedge"])
+                    after = _label_degrees(contract_hedge(g, view.label), loops)
+                    if theorem is TheoremId.CONTRACT_MIN:
+                        assert v.lhs == min(after)
+                    elif theorem is TheoremId.CONTRACT_H:
+                        assert v.lhs == sum(after)
+                    else:
+                        inner = (_label_degrees(g, loops, view.vertex_set)
+                                 if mode["induced_degrees"] else degrees)
+                        total = sum(inner[x] for x in view.vertex_set)
+                        assert v.rhs == sum(after) + total - view.span * (min(degrees) - 1)
+            for v in audit_theorem(TheoremId.CONTRACT_ADJ, g, **mode):
+                h = contract_hedge(g, v.witness["contracted"])
+                assert v.lhs == len(adjacency_graph(h)[h.label_id(v.witness["hedge"])])
 
 
 @pytest.mark.parametrize("theorem", [TheoremId.RANKSUM_SEQ, TheoremId.NULLSUM_SEQ])

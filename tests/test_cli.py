@@ -298,15 +298,22 @@ class TestErrorHandling:
     def test_unknown_subcommand(self):
         assert run_cli("frobnicate").returncode == 2
 
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
     def test_closed_pipe_exits_2(self, monkeypatch):
         # stdout and stderr feed one pipe its reader closed, so the error
         # message cannot be written either; exit 1 would claim a broken theorem
-        class ClosedPipe(io.StringIO):
-            def write(self, text):
-                raise BrokenPipeError(32, "Broken pipe")
-        monkeypatch.setattr(sys, "stdout", ClosedPipe())
-        monkeypatch.setattr(sys, "stderr", ClosedPipe())
+        monkeypatch.setattr(sys, "stdout", self.ClosedPipe())
+        monkeypatch.setattr(sys, "stderr", self.ClosedPipe())
         assert cli.main(["generate", "--seed", "1"]) == 2
+
+    def test_closed_stdout_is_silent(self, monkeypatch, capsys):
+        # a reader such as `head -n 1` closes only stdout: that is no error to report
+        monkeypatch.setattr(sys, "stdout", self.ClosedPipe())
+        assert cli.main(["generate", "--seed", "1"]) == 2
+        assert capsys.readouterr().err == ""
 
 
 # command -> (argv with "{}" for the instance file, one bad option added to a good run)

@@ -25,8 +25,13 @@ class Relabeling:
 
 def adjacency_graph(g: HedgeGraph) -> tuple[frozenset[int], ...]:
     """Neighbor sets of the hedge adjacency graph (``[i]``: hedges adjacent to hedge i)."""
-    neighbors: list[set[int]] = [set() for _ in range(g.num_labels)]
-    for incident in _vertex_label_sets(g.n, g.edges):
+    return _adjacency_of(g.num_labels, _vertex_label_sets(g.n, g.edges))
+
+
+def _adjacency_of(num_labels: int, sets: list[set[int]]) -> tuple[frozenset[int], ...]:
+    """``adjacency_graph`` from the per-vertex label sets already built."""
+    neighbors: list[set[int]] = [set() for _ in range(num_labels)]
+    for incident in sets:
         for r in incident:
             neighbors[r] |= incident
     for r, ns in enumerate(neighbors):

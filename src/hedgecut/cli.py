@@ -17,7 +17,7 @@ import sys
 from dataclasses import replace
 from typing import Iterable
 
-from .adjacency import greedy_relabel, max_adjacency_degree
+from .adjacency import _adjacency_of, greedy_relabel
 from .audit import (
     UNIVERSAL_IDS,
     GeneratorParams,
@@ -28,7 +28,7 @@ from .audit import (
 )
 from .connectivity import hedge_connectivity
 from .contraction import cleanup, contract_hedge
-from .graph import GraphError, HedgeGraph, _hedge_views, degree_summary, graph_rank_nullity
+from .graph import GraphError, HedgeGraph, _hedge_views, _vertex_label_sets, graph_rank_nullity
 from .hgformat import ParseError, emit, parse
 from .rng import mix
 
@@ -87,23 +87,24 @@ def _parse_params(ranges: str | None, seed: int) -> GeneratorParams:
 def _cmd_stats(args: argparse.Namespace) -> int:
     g = _load(args.file)
     rank, nullity = graph_rank_nullity(g)
-    delta, big_delta, total = degree_summary(g)
+    sets = _vertex_label_sets(g.n, g.edges)  # one build for the degrees and max_dA
+    degrees = [len(s) for s in sets]
     views = _hedge_views(g)
     print(f"n={g.n}")
     print(f"m={g.m}")
     print(f"labels={g.num_labels}")
     print(f"rank={rank}")
     print(f"nullity={nullity}")
-    print(f"delta_L={delta}")
-    print(f"Delta_L={big_delta}")
-    print(f"max_dA={max_adjacency_degree(g)}")
+    print(f"delta_L={min(degrees)}")
+    print(f"Delta_L={max(degrees)}")
+    print(f"max_dA={max(map(len, _adjacency_of(g.num_labels, sets)), default=0)}")
     for view in views:
         print(f"hedge label={view.name} span={view.span} rank={view.rank} nullity={view.nullity}")
     print(f"sum_rank={sum(v.rank for v in views)}")
     print(f"sum_nullity={sum(v.nullity for v in views)}")
     print(f"sum_span={sum(v.span for v in views)}")
     print(f"sum_hedge_vertices={sum(len(v.vertex_set) for v in views)}")
-    print(f"sum_label_degrees={total}")
+    print(f"sum_label_degrees={sum(degrees)}")
     return 0
 
 
@@ -231,8 +232,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a short output would otherwise meet a closed pipe only at exit
+        return code
     except BrokenPipeError:  # the reader closed stdout early: no message; 1 means a broken claim
+        if sys.stdout is sys.__stdout__:  # the flush at interpreter exit then writes nowhere
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 2
     except (ParseError, GraphError, OSError) as exc:
         try:

@@ -5,8 +5,10 @@ hedges whose joint removal disconnects it.  Exact answers come from
 subset enumeration (sound because the hedges incident to a minimum
 label-degree vertex always form a cut, capping the search depth) or,
 when every label has exactly one edge, from a deterministic global
-min-cut.  Larger label sets fall back to seeded randomized hedge
-contraction, which yields an upper bound with a valid certificate.
+min-cut, whose sweep stops at a proven lower bound (1 with a bridge,
+else 2) since no phase cuts below it and ties keep the earlier phase.
+Larger label sets fall back to seeded randomized hedge contraction,
+which yields an upper bound with a valid certificate.
 
 Enumeration, certificates and contraction trials share one flat
 representation, built once per graph: for every label, a spanning forest
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import defaultdict
 from dataclasses import dataclass
 
 from .graph import (
@@ -152,6 +153,39 @@ def brute_force_connectivity(g: HedgeGraph, cap: int = 20) -> CutCertificate:
     raise AssertionError("no cut found within the degree bound")
 
 
+def _has_bridge(g: HedgeGraph) -> bool:
+    """Whether connected ``g`` has a bridge: Tarjan's low-link test, iterative from vertex 0.
+
+    A tree edge is skipped by index, so a parallel edge is no bridge; loops are left out.
+    """
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]  # (edge index, far end)
+    for i, (u, v, _) in enumerate(g.edges):
+        if u != v:
+            incident[u].append((i, v))
+            incident[v].append((i, u))
+    order = [0] + [-1] * (g.n - 1)  # discovery time, -1 until discovered
+    low = [0] * g.n  # least discovery time one back edge reaches from v's subtree
+    stack = [(0, -1, iter(incident[0]))]  # (vertex, index of its tree edge, edges left)
+    tick = itertools.count(1)
+    while stack:
+        v, via, rest = stack[-1]
+        for i, x in rest:
+            if order[x] < 0:
+                order[x] = low[x] = next(tick)
+                stack.append((x, i, iter(incident[x])))
+                break
+            if i != via:
+                low[v] = min(low[v], order[x])
+        else:
+            stack.pop()
+            if stack:
+                p = stack[-1][0]
+                if low[v] > order[p]:
+                    return True
+                low[p] = min(low[p], low[v])
+    return False
+
+
 def ordinary_edge_min_cut(g: HedgeGraph) -> CutCertificate:
     """Global min cut when every label has exactly one edge.
 
@@ -160,38 +194,45 @@ def ordinary_edge_min_cut(g: HedgeGraph) -> CutCertificate:
     vertex 0 merges its last vertex into the one before and offers the cut
     around the last vertex; the first cheapest phase cut wins.  Edge counts
     live in one dict per vertex (O(n + m) memory) and the sweep pops a lazy
-    heap of ``(-weight, vertex)``, so ties go to the smallest vertex id.
+    heap of ints ``vertex - weight * n``: heaviest first, ties to the smallest
+    id.  The sweep stops at the first phase cutting a proven lower bound (1
+    with a bridge, else 2): no phase cuts below the connectivity and ties
+    keep the earlier phase, so the full sweep returns the same cut.
     """
     connected = _connected(g)
     if g.num_labels != g.m:
         raise GraphError("requires every label to appear on exactly one edge")
     if not connected:
         return _certificate(g, frozenset(), "fastpath", True)
-    adj = [defaultdict(int) for _ in range(g.n)]  # vertex -> neighbour -> edge count
+    n = g.n
+    lower = 1 if _has_bridge(g) else 2
+    adj: list[dict[int, int]] = [{} for _ in range(n)]  # vertex -> neighbour -> edge count
     for u, v, _ in g.edges:
         if u != v:
-            adj[u][v] += 1
-            adj[v][u] += 1
+            adj[u][v] = adj[u].get(v, 0) + 1
+            adj[v][u] = adj[v].get(u, 0) + 1
     merges: list[tuple[int, int]] = []  # (s, t) of each phase: t merged into s
     best = (g.m + 1, 0, 0)  # (cut value, phase, t); ties keep the earlier phase
-    for phase in range(g.n - 1):
-        key, heap, t = {0: 0}, [(0, 0)], 0  # key: weight into the swept set, -1 once swept
+    for phase in range(n - 1):
+        key, heap, t = {0: 0}, [0], 0  # key: weight into the swept set, -1 once swept
         while heap:  # vertex 0 pops first
-            w, v = heapq.heappop(heap)
+            w, v = divmod(heapq.heappop(heap), n)
             if key[v] == -w:  # else stale: v was swept or its weight has grown
                 key[v] = -1
                 s, t, value = t, v, -w
                 for x, c in adj[v].items():
                     if (k := key.get(x, 0)) >= 0:
-                        key[x] = k + c
-                        heapq.heappush(heap, (-k - c, x))
+                        key[x] = k = k + c
+                        heapq.heappush(heap, x - k * n)
         best = min(best, (value, phase, t))
         merges.append((s, t))
+        if value <= lower:
+            break
         for x, c in adj[t].items():
             del adj[x][t]
             if x != s:
-                adj[s][x] += c
-                adj[x][s] += c
+                adj[s][x] = adj[s].get(x, 0) + c
+                adj[x][s] = adj[x].get(s, 0) + c
     # both sides of a minimum edge cut are connected, so the crossing labels define it
     parent, _, _ = _join(g.n, [merges[:best[1]]], ())
     side = [_root(parent, v) == _root(parent, best[2]) for v in range(g.n)]

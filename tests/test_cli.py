@@ -7,6 +7,7 @@ import time
 import pytest
 
 from conftest import FIXTURES
+import hedgecut.graph
 from hedgecut import TheoremId, build_graph, cli, emit, parse_verdict
 
 C4ALT = str(FIXTURES / "c4alt.hg")
@@ -64,6 +65,20 @@ class TestStats:
         assert out[:3] == [f"n={n}", f"m={n - 1}", f"labels={labels}"]
         assert out[8] == "hedge label=l0 span=10 rank=10 nullity=0"
         assert out[-5:-3] == [f"sum_rank={n - 1}", "sum_nullity=0"]
+
+    def test_label_sets_built_once(self, monkeypatch, capsys):
+        # delta_L, Delta_L, max_dA and the label-degree sum all read one build
+        built = []
+
+        def counted(n, edges, *args, _real=hedgecut.graph._vertex_label_sets):
+            built.append(n)
+            return _real(n, edges, *args)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("hedgecut.") and hasattr(module, "_vertex_label_sets"):
+                monkeypatch.setattr(module, "_vertex_label_sets", counted)
+        assert cli.main(["stats", SPIDER]) == 0
+        assert capsys.readouterr().out.splitlines()[5:8] == ["delta_L=1", "Delta_L=2", "max_dA=3"]
+        assert len(built) == 1
 
 
 class TestConnectivity:
@@ -314,6 +329,19 @@ class TestErrorHandling:
         monkeypatch.setattr(sys, "stdout", self.ClosedPipe())
         assert cli.main(["generate", "--seed", "1"]) == 2
         assert capsys.readouterr().err == ""
+
+    def test_short_output_to_a_closed_pipe(self):
+        # the reader is gone before the process starts; a short output sits in
+        # stdout's buffer, so only a flush inside main meets the broken pipe
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {k: v for k, v in os.environ.items() if k not in ("HEDGECUT_SEED", "PYTHONUNBUFFERED")}
+        try:
+            result = subprocess.run([sys.executable, "-m", "hedgecut", "generate", "--seed", "1"],
+                                    stdout=write_end, stderr=subprocess.PIPE, env=env)
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (2, b"")
 
 
 # command -> (argv with "{}" for the instance file, one bad option added to a good run)

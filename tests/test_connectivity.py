@@ -1,3 +1,5 @@
+import heapq
+import random
 import time
 import tracemalloc
 
@@ -6,8 +8,11 @@ import pytest
 from hedgecut import (
     CutCertificate,
     GraphError,
+    HedgeGraph,
     brute_force_connectivity,
     build_graph,
+    connectivity,
+    contract_edge,
     contract_hedge,
     default_trial_count,
     hedge_connectivity,
@@ -17,6 +22,7 @@ from hedgecut import (
     ordinary_edge_min_cut,
     randomized_connectivity,
     randomized_contraction_cut,
+    remove_hedges,
     validate_certificate,
 )
 
@@ -154,6 +160,62 @@ class TestOrdinaryMinCut:
             tracemalloc.stop()
         assert cert.size == 2
         assert peak < 1_000_000, peak
+
+    @pytest.mark.parametrize("closed, size", [(True, 2), (False, 1)], ids=["cycle", "path"])
+    def test_sweep_stops_at_the_lower_bound(self, closed, size, monkeypatch):
+        # phase 0 already cuts 2 on a cycle (no bridge) and 1 on a path (a bridge),
+        # so one sweep suffices; all n - 1 phases pop about n^2 / 2 times
+        n = 2000
+        g = build_graph(n, [(v, (v + 1) % n, f"e{v}") for v in range(n if closed else n - 1)])
+        pops = []
+
+        def counted(heap, _pop=heapq.heappop):
+            pops.append(1)
+            return _pop(heap)
+        monkeypatch.setattr(heapq, "heappop", counted)
+        cert = ordinary_edge_min_cut(g)
+        assert cert.size == size
+        assert validate_certificate(g, cert)
+        assert len(pops) <= 2 * n, len(pops)
+
+
+def _bridge_test_graphs() -> list[HedgeGraph]:
+    """120 seeded connected graphs, one edge per label, with parallel edges and loops,
+    and a ``contract_edge`` result of each, which adds parallels and loops of its own."""
+    graphs = []
+    for seed in range(120):
+        rng = random.Random(seed)
+        n = rng.randint(2, 12)
+        pairs = [(rng.randrange(v), v) for v in range(1, n)]  # a random tree
+        pairs += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, n))]
+        pairs += [rng.choice(pairs) for _ in range(rng.randint(0, 2))]  # parallels
+        pairs += [(w, w) for w in rng.sample(range(n), rng.randint(0, min(2, n)))]  # loops
+        g = HedgeGraph(n, tuple((u, v, i) for i, (u, v) in enumerate(pairs)),
+                       tuple(f"e{i}" for i in range(len(pairs))))
+        graphs.append(g)
+        if n > 2:
+            graphs.append(contract_edge(g, rng.randrange(n - 1))[0])  # a tree edge
+    return graphs
+
+
+def test_has_bridge_matches_brute_force():
+    # a bridge is a non-loop edge whose removal alone disconnects the graph
+    graphs = _bridge_test_graphs()
+    answers = [connectivity._has_bridge(g) for g in graphs]
+    for g, answer in zip(graphs, answers):
+        assert answer == any(not is_connected(remove_hedges(g, [lab]))
+                             for lab, (u, v, _) in enumerate(g.edges) if u != v), g
+    links = [[(min(u, v), max(u, v)) for u, v, _ in g.edges if u != v] for g in graphs]
+    assert 60 <= sum(answers) <= len(graphs) - 60  # both answers are well covered
+    assert sum(len(set(pairs)) < len(pairs) for pairs in links) >= 150  # parallel edges
+    assert sum(len(pairs) < g.m for pairs, g in zip(links, graphs)) >= 150  # loops
+
+
+def test_has_bridge_is_iterative_on_long_paths():
+    n = 20_000
+    path = [(v, v + 1, f"e{v}") for v in range(n - 1)]
+    assert connectivity._has_bridge(build_graph(n, path)) is True
+    assert connectivity._has_bridge(build_graph(n, path + [(n - 1, 0, "back")])) is False
 
 
 class TestRandomized:

@@ -12,8 +12,8 @@ Each claim computes only what it reads (views, adjacency graph,
 relabeling), and nothing is shared across calls: ``bench/spans.py`` times
 one span per claim and ``verify_certificate`` replays one claim from
 cold, so a value cached by one claim would hide the cost of another.
-The contraction claims count degrees on contracted edge lists; only
-``CONTRACT_ADJ`` builds a contracted graph, one per label.
+The contraction claims read contracted edge lists from ``contraction``
+(``_contract``, ``_contract_edge``), so no claim builds a graph.
 
 Degree conventions are explicit: by default a loop contributes its
 label to its vertex once, and hedge degree totals use degrees measured
@@ -32,9 +32,9 @@ from enum import Enum
 from heapq import heapify, heappop, heappush
 from typing import Any, Sequence
 
-from .adjacency import _greedy_colors, adjacency_graph
+from .adjacency import _adjacency_of, _greedy_colors, adjacency_graph
 from .connectivity import brute_force_connectivity
-from .contraction import _contract, _merge, contract_hedge, contraction_sequence
+from .contraction import _contract, _contract_edge, contraction_sequence
 from .graph import (Edge, GraphError, HedgeGraph, HedgeView, _hedge_views, _vertex_label_sets,
                     build_graph, graph_rank_nullity, is_connected)
 from .hgformat import ParseError, emit, parse
@@ -263,9 +263,7 @@ def audit_theorem(theorem: TheoremId, g: HedgeGraph, *, count_loops: bool = True
         for idx, (u, v, _) in enumerate(g.edges):
             if u == v:
                 continue
-            vmap = _merge(g.n, [(u, v)])
-            kept = [(vmap[a], vmap[b], lab) for i, (a, b, lab) in enumerate(g.edges) if i != idx]
-            dw = degrees_of(g.n - 1, kept)[vmap[u]]
+            dw = degrees_of(*_contract_edge(g, idx))[min(u, v)]
             band = [max(degrees[u], degrees[v]) - 1, degrees[u] + degrees[v] - 2]
             out.append(verdict(band[0] <= dw <= band[1], dw, band, {"edge": idx}))
         return out
@@ -293,11 +291,11 @@ def audit_theorem(theorem: TheoremId, g: HedgeGraph, *, count_loops: bool = True
         q = _greedy_colors(adj).num_colors
         out = []
         for i in range(g.num_labels):
-            adj_after = adjacency_graph(contract_hedge(g, i))
+            adj_after = _adjacency_of(g.num_labels, _vertex_label_sets(*_contract(g, i)))
             for j in range(g.num_labels):
                 if j == i:
                     continue
-                actual = len(adj_after[j - (j > i)])  # contraction drops label i, keeps the order
+                actual = len(adj_after[j])
                 if j in adj[i]:
                     predicted = len(adj[j]) + len(adj[i]) - q + 1
                 else:

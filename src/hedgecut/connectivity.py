@@ -197,7 +197,8 @@ def ordinary_edge_min_cut(g: HedgeGraph) -> CutCertificate:
     heap of ints ``vertex - weight * n``: heaviest first, ties to the smallest
     id.  The sweep stops at the first phase cutting a proven lower bound (1
     with a bridge, else 2): no phase cuts below the connectivity and ties
-    keep the earlier phase, so the full sweep returns the same cut.
+    keep the earlier phase, so the full sweep returns the same cut.  At
+    connectivity 3 or more all n - 1 phases run, O(m log n) heap work each.
     """
     connected = _connected(g)
     if g.num_labels != g.m:

@@ -9,9 +9,9 @@ accounting is only exact when parallel edges survive contraction.
 
 One vertex merge (``_merge``) numbers classes by minimum original id and
 ``graph._rebuild`` builds every result graph with labels in id order, so
-results are deterministic values.  ``_contract`` is the hedge contraction
-that ``contract_hedge`` wraps and the audit reads as an edge list; a
-sequence builds no graph at all.
+results are deterministic values.  ``_contract`` and ``_contract_edge``
+give each contraction as an edge list, which ``contract_hedge`` and
+``contract_edge`` wrap and the audit reads; a sequence builds no graph.
 """
 
 from __future__ import annotations
@@ -64,14 +64,18 @@ def contract_edge(g: HedgeGraph, edge_index: int) -> tuple[HedgeGraph, int]:
     endpoints remapped, so parallel edges and loops may appear.  Loops
     cannot be contracted.
     """
-    if not (0 <= edge_index < g.m):
-        raise GraphError(f"edge index {edge_index} out of range")
+    if type(edge_index) is not int or not (0 <= edge_index < g.m):  # a bool is no index
+        raise GraphError(f"edge index {edge_index!r} out of range")
     u, v, _ = g.edges[edge_index]
     if u == v:
         raise GraphError(f"cannot contract the loop at vertex {u}")
-    vmap = _merge(g.n, [(u, v)])
-    edges = [(vmap[a], vmap[b], lab) for i, (a, b, lab) in enumerate(g.edges) if i != edge_index]
-    return _rebuild(g.n - 1, edges, g.labels), vmap[u]
+    return _rebuild(*_contract_edge(g, edge_index), g.labels), min(u, v)
+
+
+def _contract_edge(g: HedgeGraph, index: int) -> tuple[int, list[Edge]]:
+    """Vertex count and edges of ``g`` with non-loop edge ``index`` contracted into ``min(u, v)``."""
+    vmap = _merge(g.n, [g.edges[index][:2]])
+    return g.n - 1, [(vmap[a], vmap[b], lab) for i, (a, b, lab) in enumerate(g.edges) if i != index]
 
 
 def contract_hedge(g: HedgeGraph, label: LabelRef) -> HedgeGraph:

@@ -270,8 +270,8 @@ def _vertex_label_sets(n: int, edges: Iterable[Edge], count_loops: bool = True) 
 
 def label_degree(g: HedgeGraph, v: int) -> int:
     """Number of distinct labels on edges incident to ``v`` (a loop counts once)."""
-    if not (0 <= v < g.n):
-        raise GraphError(f"vertex {v} out of range")
+    if type(v) is not int or not (0 <= v < g.n):  # a bool is no vertex
+        raise GraphError(f"vertex {v!r} out of range")
     return len(_vertex_label_sets(g.n, g.edges)[v])
 
 

@@ -17,6 +17,7 @@ from hedgecut import (
     adjacency_graph,
     audit_theorem,
     build_graph,
+    cli,
     contract_edge,
     contract_hedge,
     emit,
@@ -251,17 +252,17 @@ def test_each_claim_builds_only_what_it_reads(theorem, twoi, monkeypatch):
     assert own_adjacency == (1 if theorem in ADJACENCY_READERS else 0)
 
 
-DEGREE_COUNTING_CLAIMS = (TheoremId.CONTRACTV_BAND, TheoremId.CONTRACT_MIN, TheoremId.CONTRACT_H,
-                          TheoremId.CONTRACT_SUM)
 ALL_MODES = [{"count_loops": loops, "induced_degrees": induced}
              for loops in (True, False) for induced in (False, True)]
 
 
 @pytest.mark.parametrize("name", ["twoi", "contracted"])
-def test_contraction_claims_build_no_graph(name, monkeypatch):
-    # the four claims count degrees on contracted edge lists; CONTRACT_ADJ
-    # still builds one contracted graph per label for adjacency_graph
+def test_contraction_claims_build_no_graph(name, monkeypatch, capsys):
+    # every claim, the contraction claims included, reads edge lists, so
+    # the only graph an audit run builds is the parsed instance
     g = _golden_graph(name)
+    fixture = Path(__file__).parent / "fixtures" / "twoi.hg"
+    parsed = parse(fixture.read_text(encoding="ascii"))
     built = []
     post_init = HedgeGraph.__post_init__
 
@@ -270,11 +271,12 @@ def test_contraction_claims_build_no_graph(name, monkeypatch):
         post_init(self)
     monkeypatch.setattr(HedgeGraph, "__post_init__", counted)
     for mode in ALL_MODES:
-        for theorem in DEGREE_COUNTING_CLAIMS:
+        for theorem in TheoremId:
             assert audit_theorem(theorem, g, **mode)
     assert built == []
-    audit_theorem(TheoremId.CONTRACT_ADJ, g)
-    assert len(built) == g.num_labels
+    assert cli.main(["audit", str(fixture), "--theorem", "all"]) == 0
+    assert capsys.readouterr().out.count("verdict theorem=") > len(TheoremId)
+    assert built == [parsed]
 
 
 def _label_degrees(h, count_loops, inside=None):

@@ -5,6 +5,7 @@ from hedgecut import (
     GraphError,
     HedgeGraph,
     build_graph,
+    contract_edge,
     degree_summary,
     graph_rank_nullity,
     hedge_view,
@@ -91,10 +92,15 @@ C4ALT = build_graph(4, [(0, 1, "a"), (1, 2, "b"), (2, 3, "a"), (3, 0, "b")])
     (hedge_view, (C4ALT, 1.5), "unknown label id 1.5", None),
     (hedge_view, (C4ALT, True), "unknown label id True", None),
     (remove_hedges, (C4ALT, [None]), "unknown label id None", None),
+    (contract_edge, (C4ALT, 1.0), "edge index 1.0 out of range", None),
+    (contract_edge, (C4ALT, True), "edge index True out of range", None),
+    (label_degree, (C4ALT, 1.0), "vertex 1.0 out of range", None),
+    (label_degree, (C4ALT, True), "vertex True out of range", None),
 ], ids=["float-n", "bool-n", "float-endpoint", "bool-endpoint", "str-endpoint", "none-endpoint",
-        "str-n", "float-label-id", "equal-int-twin", "float-ref", "bool-ref", "none-ref"])
+        "str-n", "float-label-id", "equal-int-twin", "float-ref", "bool-ref", "none-ref",
+        "float-edge-index", "bool-edge-index", "float-vertex", "bool-vertex"])
 def test_non_int_ids_rejected(call, args, message, edge):
-    # vertex counts, endpoints and label ids are ints; a bool is not one.
+    # vertex counts, endpoints, label ids, edge indices and vertices are ints; a bool is not one.
     # The faulty edge is blamed, not an earlier edge that compares equal.
     with pytest.raises(GraphError, match=message) as err:
         call(*args)

@@ -469,8 +469,8 @@ def search_counterexample(theorem: TheoremId, params: GeneratorParams,
     size); trial t generates its instance from mix(params.seed, t), so
     the verdict stream is reproducible.  Stops at the first violation.
     """
-    if trials < 1:
-        raise GraphError("at least one trial is required")
+    if type(trials) is not int or trials < 1:  # a bool is no count
+        raise GraphError(f"at least one trial is required, counted by an int, not {trials!r}")
     _check_ranges(params)
     n_lo, n_hi = params.n_range
     sizes = list(range(n_lo, n_hi + 1))

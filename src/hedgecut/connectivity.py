@@ -2,22 +2,22 @@
 
 The connectivity of a connected hedge graph is the minimum number of
 hedges whose joint removal disconnects it.  Exact answers come from
-subset enumeration (sound because the hedges incident to a minimum
-label-degree vertex always form a cut, capping the search depth) or,
-when every label has exactly one edge, from a deterministic global
-min-cut, whose sweep stops at a proven lower bound (1 with a bridge,
-else 2) since no phase cuts below it and ties keep the earlier phase.
+subset enumeration (sound because the hedges at a minimum label-degree
+vertex always form a cut, capping the search depth) or, when every label
+has exactly one edge, from a deterministic global min-cut, whose sweep
+stops at a proven lower bound (1 with a bridge, else 2) since no phase
+cuts below it and ties keep the earlier phase.
 Larger label sets fall back to seeded randomized hedge contraction,
 which yields an upper bound with a valid certificate.
 
-Enumeration, certificates and contraction trials share one flat
-representation, built once per graph: for every label, a spanning forest
-of its non-loop edges as ``(u, v)`` pairs over the original vertices.
-Which vertices a set of hedges connects depends only on these forests,
-so each subset test is one pass of the package's union-find
-(``graph._join``) over the kept forests; no loop rebuilds a graph.
-Every kernel returns only cut labels, and ``_certificate`` builds every
-certificate: side_a is vertex 0's component once the labels are removed.
+Enumeration and contraction trials share one flat representation, built
+once per graph: for every label, a spanning forest of its non-loop edges
+as ``(u, v)`` pairs over the original vertices.  Which vertices a set of
+hedges connects depends only on these forests, so each subset test is
+one pass of the package's union-find (``graph._join``) over the kept
+forests; no loop rebuilds a graph.  Every kernel returns only cut labels,
+and ``_certificate`` builds every certificate from the edges alone: side_a
+is vertex 0's class, 0, in ``graph._merge`` of the edges the cut keeps.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .graph import (
     _by_label,
     _forest,
     _join,
-    _root,
+    _merge,
     _vertex_label_sets,
     is_connected,
 )
@@ -86,12 +86,10 @@ def _hedge_forests(g: HedgeGraph) -> Forests:
     return [_forest(pairs) for pairs in _by_label(g)]
 
 
-def _certificate(g: HedgeGraph, labels: frozenset[int], method: str, exact: bool,
-                 forests: Forests | None = None) -> CutCertificate:
+def _certificate(g: HedgeGraph, labels: frozenset[int], method: str, exact: bool) -> CutCertificate:
     """The cut ``labels`` with side_a the component of vertex 0 once they are removed."""
-    parent, _, _ = _join(g.n, _hedge_forests(g) if forests is None else forests, labels)
-    r0 = _root(parent, 0)
-    side_a = frozenset(v for v in range(g.n) if _root(parent, v) == r0)
+    vmap = _merge(g.n, [(u, v) for u, v, lab in g.edges if lab not in labels])
+    side_a = frozenset(v for v, c in enumerate(vmap) if c == 0)
     return CutCertificate(labels, side_a, frozenset(range(g.n)) - side_a, method, exact)
 
 
@@ -148,33 +146,29 @@ def brute_force_connectivity(g: HedgeGraph, cap: int = 20) -> CutCertificate:
             else:
                 _, parts, used = _join(g.n, forests, combo, big_first)
                 if parts > 1:
-                    return _certificate(g, frozenset(combo), "brute", True, forests)
+                    return _certificate(g, frozenset(combo), "brute", True)
                 spanning.insert(0, used)
     raise AssertionError("no cut found within the degree bound")
 
 
-def _has_bridge(g: HedgeGraph) -> bool:
-    """Whether connected ``g`` has a bridge: Tarjan's low-link test, iterative from vertex 0.
+def _has_bridge(adj: list[dict[int, int]]) -> bool:
+    """Whether a connected multigraph has a bridge: Tarjan's low-link test, iterative from vertex 0.
 
-    A tree edge is skipped by index, so a parallel edge is no bridge; loops are left out.
+    ``adj[v]`` maps each neighbour of ``v`` to its edge count, loops left out; the edge
+    back to the DFS parent closes a cycle exactly when its count is above 1.
     """
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]  # (edge index, far end)
-    for i, (u, v, _) in enumerate(g.edges):
-        if u != v:
-            incident[u].append((i, v))
-            incident[v].append((i, u))
-    order = [0] + [-1] * (g.n - 1)  # discovery time, -1 until discovered
-    low = [0] * g.n  # least discovery time one back edge reaches from v's subtree
-    stack = [(0, -1, iter(incident[0]))]  # (vertex, index of its tree edge, edges left)
+    order = [0] + [-1] * (len(adj) - 1)  # discovery time, -1 until discovered
+    low = [0] * len(adj)  # least discovery time one back edge reaches from v's subtree
+    stack = [(0, -1, iter(adj[0].items()))]  # (vertex, its DFS parent, counts left)
     tick = itertools.count(1)
     while stack:
-        v, via, rest = stack[-1]
-        for i, x in rest:
+        v, up, rest = stack[-1]
+        for x, c in rest:
             if order[x] < 0:
                 order[x] = low[x] = next(tick)
-                stack.append((x, i, iter(incident[x])))
+                stack.append((x, v, iter(adj[x].items())))
                 break
-            if i != via:
+            if x != up or c > 1:
                 low[v] = min(low[v], order[x])
         else:
             stack.pop()
@@ -206,12 +200,12 @@ def ordinary_edge_min_cut(g: HedgeGraph) -> CutCertificate:
     if not connected:
         return _certificate(g, frozenset(), "fastpath", True)
     n = g.n
-    lower = 1 if _has_bridge(g) else 2
     adj: list[dict[int, int]] = [{} for _ in range(n)]  # vertex -> neighbour -> edge count
     for u, v, _ in g.edges:
         if u != v:
             adj[u][v] = adj[u].get(v, 0) + 1
             adj[v][u] = adj[v].get(u, 0) + 1
+    lower = 1 if _has_bridge(adj) else 2  # before the sweep merges adj
     merges: list[tuple[int, int]] = []  # (s, t) of each phase: t merged into s
     best = (g.m + 1, 0, 0)  # (cut value, phase, t); ties keep the earlier phase
     for phase in range(n - 1):
@@ -235,8 +229,8 @@ def ordinary_edge_min_cut(g: HedgeGraph) -> CutCertificate:
                 adj[s][x] = adj[s].get(x, 0) + c
                 adj[x][s] = adj[x].get(s, 0) + c
     # both sides of a minimum edge cut are connected, so the crossing labels define it
-    parent, _, _ = _join(g.n, [merges[:best[1]]], ())
-    side = [_root(parent, v) == _root(parent, best[2]) for v in range(g.n)]
+    vmap = _merge(n, merges[:best[1]])
+    side = [c == vmap[best[2]] for c in vmap]
     return _certificate(g, frozenset(lab for u, v, lab in g.edges if side[u] != side[v]),
                         "fastpath", True)
 
@@ -297,8 +291,7 @@ def randomized_contraction_cut(g: HedgeGraph, seed: int) -> CutCertificate:
     """
     if not _connected(g):
         raise GraphError("contraction trials require a connected graph")
-    forests = _hedge_forests(g)
-    return _certificate(g, _contraction_trial(g.n, forests, seed), "randomized", False, forests)
+    return _certificate(g, _contraction_trial(g.n, _hedge_forests(g), seed), "randomized", False)
 
 
 def default_trial_count(num_labels: int) -> int:
@@ -319,8 +312,8 @@ def randomized_connectivity(g: HedgeGraph, trials: int | None = None,
         raise GraphError("contraction trials require a connected graph")
     if trials is None:
         trials = default_trial_count(g.num_labels)
-    if trials < 0:
-        raise GraphError("trial count must be nonnegative")
+    if type(trials) is not int or trials < 0:  # a bool is no count
+        raise GraphError(f"trial count must be a nonnegative int, not {trials!r}")
     forests = _hedge_forests(g)
     best: frozenset[int] | None = None
     for t in range(trials):
@@ -331,7 +324,7 @@ def randomized_connectivity(g: HedgeGraph, trials: int | None = None,
                 break  # connected graphs need at least one hedge removed
     if best is None:
         return _degree_bound_certificate(g, _vertex_label_sets(g.n, g.edges))
-    return _certificate(g, best, "randomized", False, forests)
+    return _certificate(g, best, "randomized", False)
 
 
 def hedge_connectivity(g: HedgeGraph, method: str = "auto", cap: int = 20,

@@ -7,11 +7,12 @@ label.  Clean-up merges same-label parallels and loops and returns just
 the graph; it is never applied implicitly: the sequential rank/nullity
 accounting is only exact when parallel edges survive contraction.
 
-One vertex merge (``_merge``) numbers classes by minimum original id and
-``graph._rebuild`` builds every result graph with labels in id order, so
-results are deterministic values.  ``_contract`` and ``_contract_edge``
-give each contraction as an edge list, which ``contract_hedge`` and
-``contract_edge`` wrap and the audit reads; a sequence builds no graph.
+Every vertex map comes from ``graph._merge`` (classes numbered by minimum
+original id) and ``graph._rebuild`` builds every result graph with labels
+in id order, so results are deterministic values.  ``_contract`` and
+``_contract_edge`` give each contraction as an edge list, which
+``contract_hedge`` and ``contract_edge`` wrap and the audit reads; a
+sequence builds no graph.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph import Edge, GraphError, HedgeGraph, LabelRef, _by_label, _forest, _join, _rebuild, _root
+from .graph import Edge, GraphError, HedgeGraph, LabelRef, _by_label, _forest, _merge, _rebuild
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,13 +49,6 @@ class ContractionTrace:
     @property
     def total_nullity_consumed(self) -> int:
         return sum(s.nullity_consumed for s in self.steps)
-
-
-def _merge(n: int, pairs: list[tuple[int, int]]) -> tuple[int, ...]:
-    """Old-to-new vertex map merging ``pairs``: classes numbered by minimum member, ascending."""
-    parent, _, _ = _join(n, [pairs], ())
-    new_id: dict[int, int] = {}  # an ascending scan meets each class first at its minimum
-    return tuple(new_id.setdefault(_root(parent, v), len(new_id)) for v in range(n))
 
 
 def contract_edge(g: HedgeGraph, edge_index: int) -> tuple[HedgeGraph, int]:

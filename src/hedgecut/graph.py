@@ -8,18 +8,20 @@ contain loops and parallel edges.
 
 Each input rule has one home: ``HedgeGraph`` checks what every graph
 obeys (n an int >= 1, endpoints and label ids ints in range, every label
-used, label names unique nonempty whitespace-free strings), ``build_graph``
-only the simple-input rules, and ``hgformat.parse`` only the HG1 syntax.
+used, label names unique nonempty strings with no whitespace or ``#``),
+``build_graph`` only the simple-input rules, and ``hgformat.parse`` only
+the HG1 syntax.
 
 Two merge routines serve the whole package: ``_forest`` keeps a spanning
-forest of a sparse pair set and gives every rank; ``_join`` (with
-``_root``) is the one union-find over all vertices 0..n-1, behind the
-connectivity test, ``contraction._merge`` and every cut's sides; only a
-contraction trial relinks its own class lists, which ``_root`` slowed by a
-quarter.  ``_by_label`` is the one grouping of edges by label (all views,
-forests, sequences), ``_vertex_label_sets`` the one label-degree count, of
-any edge list.  ``build_graph`` builds every input graph, ``_rebuild``
-every derived one, and nothing else constructs a ``HedgeGraph``.
+forest of a sparse pair set and gives every rank; ``_join`` is the one
+union-find over all vertices 0..n-1 (connectivity and subset tests), and
+``_merge``, the one reader of its parent lists, gives every contraction's
+vertex map and every cut's sides.  Only a contraction trial relinks its
+own class lists, which ``_root`` slowed by a quarter.  ``_by_label`` is
+the one grouping of edges by label (all views, forests, sequences),
+``_vertex_label_sets`` the one label-degree count, of any edge list.
+``build_graph`` builds every input graph, ``_rebuild`` every derived one,
+and nothing else constructs a ``HedgeGraph``.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ class GraphError(ValueError):
 
 
 def _bad_label(name: object) -> GraphError:
-    return GraphError(f"label name {name!r} must be a nonempty whitespace-free token")
+    return GraphError(f"label name {name!r} must be a nonempty token without whitespace or '#'")
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,8 +76,8 @@ class HedgeGraph:
         if len({lab for _, _, lab in edges}) != k:
             raise GraphError("every label must appear on at least one edge")
         for name in self.labels:
-            # str.split() splits at exactly the characters str.isspace() accepts
-            if not (isinstance(name, str) and name.split() == [name]):
+            # str.split() splits at exactly the characters str.isspace() accepts; HG1 reads "#" as a comment
+            if not (isinstance(name, str) and name.split() == [name] and "#" not in name):
                 raise _bad_label(name)
         if len(set(self.labels)) != k:
             raise GraphError("label names must be unique")
@@ -193,7 +195,7 @@ def _join(n: int, forests: Forests, removed: Collection[int],
     """Union-find over 0..n-1 merging the pairs of the labels not removed.
 
     Returns (parents, class count, bit mask of the labels whose pairs
-    merged classes); ``_root`` reads a vertex's class from the parents.
+    merged classes); ``_merge`` reads the classes from the parents.
     Stops as soon as one class is left; the merging labels then span the
     graph.  ``order`` is the label visiting order.  Loops merge nothing.
     """
@@ -217,6 +219,13 @@ def _join(n: int, forests: Forests, removed: Collection[int],
     return parent, parts, used
 
 
+def _merge(n: int, pairs: list[tuple[int, int]]) -> tuple[int, ...]:
+    """Old-to-new vertex map merging ``pairs``: classes numbered by minimum member, ascending."""
+    parent, _, _ = _join(n, [pairs], ())
+    new_id: dict[int, int] = {}  # an ascending scan meets each class first at its minimum
+    return tuple(new_id.setdefault(_root(parent, v), len(new_id)) for v in range(n))
+
+
 def _by_label(g: HedgeGraph) -> Forests:
     """Each label's (u, v) pairs in edge order, loops and parallels kept."""
     pairs: Forests = [[] for _ in range(g.num_labels)]
@@ -234,7 +243,7 @@ def _view(g: HedgeGraph, lab: int, pairs: list[tuple[int, int]]) -> HedgeView:
 def hedge_view(g: HedgeGraph, label: LabelRef) -> HedgeView:
     """The hedge of ``label``: edge subsequence, vertex set, rank."""
     lab = g.label_id(label)
-    return _view(g, lab, [(u, v) for u, v, e_lab in g.edges if e_lab == lab])
+    return _view(g, lab, _by_label(g)[lab])
 
 
 def _hedge_views(g: HedgeGraph) -> list[HedgeView]:

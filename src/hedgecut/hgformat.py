@@ -9,7 +9,7 @@ Layout::
 Only a line feed ends a line: a CRLF file parses (its carriage return is
 whitespace), and a form feed or a bare carriage return ends no line.
 ``#`` starts a comment running to end of line; blank lines are ignored.
-Labels are whitespace-free tokens.  ``parse`` accepts simple graphs only
+Labels are tokens free of whitespace and ``#``.  ``parse`` accepts simple graphs only
 (the input contract) but checks only syntax, reporting a syntax fault
 before any graph fault.  ``emit`` serializes any hedge graph, writing
 edges in stored order, so first appearances of label names follow

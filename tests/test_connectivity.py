@@ -25,6 +25,7 @@ from hedgecut import (
     remove_hedges,
     validate_certificate,
 )
+from conftest import singleton_label_graphs
 
 
 @pytest.fixture
@@ -198,10 +199,20 @@ def _bridge_test_graphs() -> list[HedgeGraph]:
     return graphs
 
 
+def _edge_counts(g):
+    """``ordinary_edge_min_cut``'s adjacency: vertex -> neighbour -> edge count, loops left out."""
+    adj = [{} for _ in range(g.n)]
+    for u, v, _ in g.edges:
+        if u != v:
+            adj[u][v] = adj[u].get(v, 0) + 1
+            adj[v][u] = adj[v].get(u, 0) + 1
+    return adj
+
+
 def test_has_bridge_matches_brute_force():
     # a bridge is a non-loop edge whose removal alone disconnects the graph
     graphs = _bridge_test_graphs()
-    answers = [connectivity._has_bridge(g) for g in graphs]
+    answers = [connectivity._has_bridge(_edge_counts(g)) for g in graphs]
     for g, answer in zip(graphs, answers):
         assert answer == any(not is_connected(remove_hedges(g, [lab]))
                              for lab, (u, v, _) in enumerate(g.edges) if u != v), g
@@ -214,8 +225,20 @@ def test_has_bridge_matches_brute_force():
 def test_has_bridge_is_iterative_on_long_paths():
     n = 20_000
     path = [(v, v + 1, f"e{v}") for v in range(n - 1)]
-    assert connectivity._has_bridge(build_graph(n, path)) is True
-    assert connectivity._has_bridge(build_graph(n, path + [(n - 1, 0, "back")])) is False
+    assert connectivity._has_bridge(_edge_counts(build_graph(n, path))) is True
+    assert connectivity._has_bridge(_edge_counts(build_graph(n, path + [(n - 1, 0, "back")]))) is False
+
+
+def test_singleton_min_cut_builds_no_forest(monkeypatch):
+    # the min cut's certificate takes its side from the edges, not from one forest per label
+    calls = []
+    forest = connectivity._forest
+    monkeypatch.setattr(connectivity, "_forest", lambda pairs: calls.append(1) or forest(pairs))
+    graphs = [g for g in singleton_label_graphs() if min_label_degree_bound(g) >= 2]
+    assert len(graphs) >= 10  # hedge_connectivity sends these to the min cut
+    for g in graphs:
+        assert ordinary_edge_min_cut(g) == hedge_connectivity(g)
+    assert calls == []
 
 
 class TestRandomized:

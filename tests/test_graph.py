@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hedgecut import (
+    GeneratorParams,
     GraphError,
     HedgeGraph,
+    TheoremId,
     build_graph,
     contract_edge,
     degree_summary,
@@ -11,7 +13,9 @@ from hedgecut import (
     hedge_view,
     is_connected,
     label_degree,
+    randomized_connectivity,
     remove_hedges,
+    search_counterexample,
 )
 
 
@@ -44,6 +48,9 @@ class TestBuildGraph:
     def test_rejects_bad_label_token(self):
         with pytest.raises(GraphError):
             build_graph(2, [(0, 1, "has space")])
+        # HG1 text reads "#" as the start of a comment, so emit could not write this graph
+        with pytest.raises(GraphError, match="label name 'a#b' must be"):
+            build_graph(3, [(0, 1, "a#b"), (1, 2, "c")])
 
     def test_single_vertex_no_edges_allowed(self):
         g = build_graph(1, [])
@@ -96,11 +103,19 @@ C4ALT = build_graph(4, [(0, 1, "a"), (1, 2, "b"), (2, 3, "a"), (3, 0, "b")])
     (contract_edge, (C4ALT, True), "edge index True out of range", None),
     (label_degree, (C4ALT, 1.0), "vertex 1.0 out of range", None),
     (label_degree, (C4ALT, True), "vertex True out of range", None),
+    (randomized_connectivity, (C4ALT, 2.0), "nonnegative int, not 2.0", None),
+    (randomized_connectivity, (C4ALT, True), "nonnegative int, not True", None),
+    (search_counterexample, (TheoremId.VD_EQUALITY, GeneratorParams(), 2.0),
+     "at least one trial .*, not 2.0", None),
+    (search_counterexample, (TheoremId.VD_EQUALITY, GeneratorParams(), True),
+     "at least one trial .*, not True", None),
 ], ids=["float-n", "bool-n", "float-endpoint", "bool-endpoint", "str-endpoint", "none-endpoint",
         "str-n", "float-label-id", "equal-int-twin", "float-ref", "bool-ref", "none-ref",
-        "float-edge-index", "bool-edge-index", "float-vertex", "bool-vertex"])
+        "float-edge-index", "bool-edge-index", "float-vertex", "bool-vertex",
+        "float-trials", "bool-trials", "float-search-trials", "bool-search-trials"])
 def test_non_int_ids_rejected(call, args, message, edge):
-    # vertex counts, endpoints, label ids, edge indices and vertices are ints; a bool is not one.
+    # vertex counts, endpoints, label ids, edge indices, vertices and trial counts are ints;
+    # a bool is not one.
     # The faulty edge is blamed, not an earlier edge that compares equal.
     with pytest.raises(GraphError, match=message) as err:
         call(*args)

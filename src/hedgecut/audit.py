@@ -116,30 +116,25 @@ def instance_digest(text: str) -> str:
 
 
 def _chromatic_number(neighbors: Sequence[frozenset[int]]) -> int:
-    """Exact chromatic number by backtracking; intended for tiny graphs."""
+    """Exact chromatic number by counting covers with independent sets.
+
+    With i(S) the count of independent subsets of S, the empty one included, V is
+    k-colorable iff sum over S of (-1)^(|V|-|S|) * i(S)^k > 0 (Björklund,
+    Husfeldt and Koivisto, "Set partitioning via inclusion-exclusion",
+    SIAM J. Comput. 2009).  Each k costs O(2^|V|): for tiny graphs only.
+    """
     count = len(neighbors)
-    order = sorted(range(count), key=lambda v: (-len(neighbors[v]), v))
-    for q in range(1, count + 1):
-        colors: dict[int, int] = {}
-
-        def assign(idx: int) -> bool:
-            if idx == count:
-                return True
-            v = order[idx]
-            taken = {colors[u] for u in neighbors[v] if u in colors}
-            # trying more than one brand-new color only permutes names
-            ceiling = min(q, max(colors.values(), default=-1) + 2)
-            for c in range(ceiling):
-                if c not in taken:
-                    colors[v] = c
-                    if assign(idx + 1):
-                        return True
-                    del colors[v]
-            return False
-
-        if assign(0):
-            return q
-    return count
+    ind, terms = [1], [(-1) ** count]  # indexed by bit mask S
+    for v, nbrs in enumerate(neighbors):
+        # a subset of S with highest vertex v omits v, or holds v and no neighbor of it
+        mask = ~sum(1 << u for u in nbrs)
+        ind += [ind[s] + ind[s & mask] for s in range(1 << v)]
+        terms += [-t for t in terms]
+    k = 0
+    while sum(terms) <= 0:  # the k = 0 sum is 0 unless there is no vertex
+        terms = [t * i for t, i in zip(terms, ind)]
+        k += 1
+    return k
 
 
 def _sample_orders(g: HedgeGraph, digest: str) -> list[list[str]]:
@@ -413,12 +408,14 @@ def _repair_labels(labels: list[int], num_labels: int) -> None:
 
 
 def _check_ranges(params: GeneratorParams) -> None:
-    """Reject empty or out-of-domain generator ranges before any work."""
+    """Reject empty, out-of-domain or non-int generator ranges and seeds before any work."""
     for (lo, hi), least, what in ((params.n_range, 2, "vertex count"),
                                   (params.extra_range, 0, "extra edge"),
                                   (params.label_range, 1, "label count")):
-        if not (least <= lo <= hi):
+        if not (type(lo) is int and type(hi) is int and least <= lo <= hi):  # a bool is no count
             raise GraphError(f"{what} range must satisfy {least} <= lo <= hi")
+    if type(params.seed) is not int:
+        raise GraphError(f"generator seed must be an int, not {params.seed!r}")
 
 
 def random_instance(params: GeneratorParams) -> HedgeGraph:

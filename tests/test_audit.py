@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import tracemalloc
 from pathlib import Path
 
@@ -339,6 +340,42 @@ def test_seq_claims_catch_a_wrong_merge(theorem, monkeypatch):
     assert all(v.holds for g in graphs for v in audit_theorem(theorem, g))
     monkeypatch.setattr(hedgecut.contraction, "_merge", one_merge_too_many)
     assert any(not v.holds for g in graphs for v in audit_theorem(theorem, g))
+
+
+def _naive_chromatic_number(neighbors):
+    """The least k for which some coloring in range(k)^n is proper."""
+    n = len(neighbors)
+    return next(k for k in range(n + 1)
+                if any(all(c[u] != c[v] for v in range(n) for u in neighbors[v])
+                       for c in itertools.product(range(k), repeat=n)))
+
+
+def _graph_of(n, pairs):
+    return tuple(frozenset(u for p in pairs if v in p for u in p if u != v) for v in range(n))
+
+
+def test_chromatic_number_matches_naive_coloring():
+    # every labeled graph on at most 5 vertices: 1 + 1 + 2 + 8 + 64 + 1024 = 1,100
+    graphs = 0
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            adj = _graph_of(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+            assert hedgecut.audit._chromatic_number(adj) == _naive_chromatic_number(adj), adj
+            graphs += 1
+    assert graphs == 1100
+
+
+@pytest.mark.parametrize("n, pairs, expected", [
+    (8, list(itertools.combinations(range(8), 2)), 8),
+    (8, [(u, u ^ 1 << b) for u in range(8) for b in range(3)], 2),
+    (8, [(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in range(4)], 3),
+    (8, [(u, v) for u, v in itertools.combinations(range(8), 2) if u // 2 != v // 2], 4),
+    (8, [(i, (i + 1) % 7) for i in range(7)], 3),
+    (0, [], 0),
+], ids=["K8", "cube-Q3", "wagner", "K2222", "C7-plus-isolated", "no-vertex"])
+def test_chromatic_number_of_named_graphs(n, pairs, expected):
+    assert hedgecut.audit._chromatic_number(_graph_of(n, pairs)) == expected
 
 
 class TestVerdictRecords:

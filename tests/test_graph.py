@@ -13,6 +13,7 @@ from hedgecut import (
     hedge_view,
     is_connected,
     label_degree,
+    random_instance,
     randomized_connectivity,
     remove_hedges,
     search_counterexample,
@@ -109,13 +110,24 @@ C4ALT = build_graph(4, [(0, 1, "a"), (1, 2, "b"), (2, 3, "a"), (3, 0, "b")])
      "at least one trial .*, not 2.0", None),
     (search_counterexample, (TheoremId.VD_EQUALITY, GeneratorParams(), True),
      "at least one trial .*, not True", None),
+    (random_instance, (GeneratorParams((2.0, 3)),), "vertex count range must satisfy 2 <= lo", None),
+    (random_instance, (GeneratorParams(extra_range=(0, 1.5)),), "extra edge range must satisfy", None),
+    (random_instance, (GeneratorParams(label_range=(1, True)),), "label count range must satisfy", None),
+    (random_instance, (GeneratorParams(seed=1.5),), "generator seed must be an int, not 1.5", None),
+    (random_instance, (GeneratorParams(seed=True),), "generator seed must be an int, not True", None),
+    (search_counterexample, (TheoremId.VD_EQUALITY, GeneratorParams((2, 3.0)), 3),
+     "vertex count range must satisfy", None),
+    (search_counterexample, (TheoremId.VD_EQUALITY, GeneratorParams(seed=1.5), 3),
+     "generator seed must be an int, not 1.5", None),
 ], ids=["float-n", "bool-n", "float-endpoint", "bool-endpoint", "str-endpoint", "none-endpoint",
         "str-n", "float-label-id", "equal-int-twin", "float-ref", "bool-ref", "none-ref",
         "float-edge-index", "bool-edge-index", "float-vertex", "bool-vertex",
-        "float-trials", "bool-trials", "float-search-trials", "bool-search-trials"])
+        "float-trials", "bool-trials", "float-search-trials", "bool-search-trials",
+        "float-n-range", "float-extra-range", "bool-label-range", "float-seed", "bool-seed",
+        "float-search-n-range", "float-search-seed"])
 def test_non_int_ids_rejected(call, args, message, edge):
-    # vertex counts, endpoints, label ids, edge indices, vertices and trial counts are ints;
-    # a bool is not one.
+    # vertex counts, endpoints, label ids, edge indices, vertices, trial counts,
+    # generator range bounds and seeds are ints; a bool is not one.
     # The faulty edge is blamed, not an earlier edge that compares equal.
     with pytest.raises(GraphError, match=message) as err:
         call(*args)
@@ -153,14 +165,14 @@ def _reference_build(n, triples):
         if u not in range(n) or v not in range(n):
             return ("fault", "out of range", i)
     for name in names:
-        if type(name) is not str or name == "" or any(ch.isspace() for ch in name):
+        if type(name) is not str or name == "" or any(ch.isspace() or ch == "#" for ch in name):
             return ("fault", "label name", None)
     edges = tuple((u, v, names.index(name)) for u, v, name in triples)
     return ("ok", edges, tuple(names))
 
 
 _good_names = st.sampled_from(["a", "b", "c", "x_1"])
-_bad_names = st.sampled_from(["", " ", "a b", "\t", "b\u00a0", 0, None, ("a",), ["a"]])
+_bad_names = st.sampled_from(["", " ", "a b", "\t", "b\u00a0", "a#b", "#", 0, None, ("a",), ["a"]])
 
 
 @st.composite
@@ -168,7 +180,7 @@ def _edge_lists(draw):
     """n and simple triples with up to two faults spliced in.
 
     A fault is an endpoint out of range, a loop, a pair repeated in either
-    orientation or a bad name (empty, whitespace, not a str, unhashable);
+    orientation or a bad name (empty, whitespace, '#', not a str, unhashable);
     n may also be below 1.
     """
     n = draw(st.integers(-1, 6))

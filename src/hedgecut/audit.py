@@ -8,12 +8,14 @@ search adjudicate claims that are expected to fail; the set of claims
 that provably hold on every connected instance is exported so callers
 can treat their violation as an internal error rather than a finding.
 
-Each claim computes only what it reads (views, adjacency graph,
-relabeling), and nothing is shared across calls: ``bench/spans.py`` times
-one span per claim and ``verify_certificate`` replays one claim from
-cold, so a value cached by one claim would hide the cost of another.
-The contraction claims read contracted edge lists from ``contraction``
-(``_contract``, ``_contract_edge``), so no claim builds a graph.
+Claims on one graph share its derived values (``_Facts``: views,
+adjacency graph, colorings, lambda, ranks, sequence sums, contracted
+degrees), each computed on first read, so a lone claim computes only what
+it reads.  ``audit_theorem`` keeps the facts of the last graph object it
+audited, keyed by identity and degree modes, so ``audit --theorem all``
+computes each value once; ``verify_certificate`` parses a new graph per
+record, so every replay starts cold.  The contraction claims read edge
+lists (``contraction._contract``, ``_contract_edge``), so no claim builds a graph.
 
 Degree conventions are explicit: by default a loop contributes its
 label to its vertex once, and hedge degree totals use degrees measured
@@ -30,7 +32,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
 from heapq import heapify, heappop, heappush
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .adjacency import _adjacency_of, _greedy_colors, adjacency_graph
 from .connectivity import brute_force_connectivity
@@ -137,16 +139,77 @@ def _chromatic_number(neighbors: Sequence[frozenset[int]]) -> int:
     return k
 
 
-def _sample_orders(g: HedgeGraph, digest: str) -> list[list[str]]:
-    """Deterministic sample of label permutations, seeded by the instance."""
-    rng = Rng(int(digest[:16], 16))
-    orders: list[list[str]] = []
-    for _ in range(_ORDER_DRAWS):
-        names = list(g.labels)
-        rng.shuffle(names)
-        if names not in orders:
-            orders.append(names)
-    return orders
+class _lazy:
+    """An attribute that ``fn(facts)`` computes on first read; unlike CPython 3.11's
+    ``functools.cached_property``, it takes no lock."""
+
+    def __init__(self, fn: Callable[[_Facts], Any]):
+        self.fn = fn
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, facts: _Facts, owner: type) -> Any:
+        value = facts.__dict__[self.name] = self.fn(facts)
+        return value
+
+
+class _Facts:
+    """The values several claims read of one connected graph in one degree mode.
+
+    Text, digest and degrees are built at once, each ``_lazy`` value on its first
+    read, so a lone claim computes only what it reads.  Shared values are
+    immutable, so no claim can change another's input.
+    """
+
+    def __init__(self, g: HedgeGraph, count_loops: bool, induced_degrees: bool):
+        if g.n < 2 or not is_connected(g):
+            raise GraphError("audit requires a connected instance with at least 2 vertices")
+        self.g, self.count_loops, self.induced_degrees = g, count_loops, induced_degrees
+        self.text = emit(g)
+        self.digest = instance_digest(self.text)
+        self.degrees = tuple(self.degrees_of(g.n, g.edges))
+
+    def degrees_of(self, n: int, edges: Sequence[Edge]) -> list[int]:
+        return [len(s) for s in _vertex_label_sets(n, edges, self.count_loops)]
+
+    views = _lazy(lambda f: tuple(_hedge_views(f.g)))
+    adj = _lazy(lambda f: adjacency_graph(f.g))
+    max_da = _lazy(lambda f: max(map(len, f.adj), default=0))
+    greedy_q = _lazy(lambda f: _greedy_colors(f.adj).num_colors)
+    optimal_q = _lazy(lambda f: _chromatic_number(f.adj) if f.g.num_labels <= 8 else None)
+    lam = _lazy(lambda f: brute_force_connectivity(f.g, cap=f.g.num_labels).size)
+    rank_nullity = _lazy(lambda f: graph_rank_nullity(f.g))
+    # label degrees after each hedge's contraction, by label id
+    after = _lazy(lambda f: tuple(tuple(f.degrees_of(*_contract(f.g, i))) for i in range(f.g.num_labels)))
+
+    @_lazy
+    def totals(self) -> tuple[int, ...]:
+        """Each hedge's degree total, by label id."""
+        g, insides = self.g, [view.vertex_set for view in self.views]
+        if not self.induced_degrees:
+            return tuple(sum(self.degrees[v] for v in inside) for inside in insides)
+        # only edges with both ends inside count, so no vertex outside has any
+        return tuple(sum(self.degrees_of(g.n, [e for e in g.edges if e[0] in inside and e[1] in inside]))
+                     for inside in insides)
+
+    @_lazy
+    def sequences(self) -> tuple[tuple[tuple[str, ...], tuple[int, int]], ...]:
+        """Distinct label orders drawn with a seed from the digest, each with the
+        (rank, nullity) that its contraction sequence consumes."""
+        rng, orders = Rng(int(self.digest[:16], 16)), []
+        for _ in range(_ORDER_DRAWS):
+            names = list(self.g.labels)
+            rng.shuffle(names)
+            if tuple(names) not in orders:
+                orders.append(tuple(names))
+        traces = [contraction_sequence(self.g, order) for order in orders]
+        return tuple((o, (t.total_rank_consumed, t.total_nullity_consumed)) for o, t in zip(orders, traces))
+
+
+# The last graph audited, its modes and its facts, read and stored as one tuple;
+# the strong reference keeps the graph's id from being reused while it is here.
+_last: tuple[Any, Any, Any] = (None, None, None)
 
 
 def audit_theorem(theorem: TheoremId, g: HedgeGraph, *, count_loops: bool = True,
@@ -157,14 +220,13 @@ def audit_theorem(theorem: TheoremId, g: HedgeGraph, *, count_loops: bool = True
     each, in ascending id / index / sample order.  Non-default degree
     modes are recorded in every witness so verification can replay them.
     """
-    if g.n < 2 or not is_connected(g):
-        raise GraphError("audit requires a connected instance with at least 2 vertices")
+    global _last
+    last_g, last_modes, f = _last
+    if last_g is not g or last_modes != (count_loops, induced_degrees):
+        f = _Facts(g, count_loops, induced_degrees)
+        _last = (g, (count_loops, induced_degrees), f)
     theorem = TheoremId(theorem)
-    text = emit(g)
-    digest = instance_digest(text)
-    modes: dict[str, Any] = {}
-    if not count_loops:
-        modes["count_loops"] = False
+    modes: dict[str, Any] = {} if count_loops else {"count_loops": False}
     if induced_degrees:
         modes["induced_degrees"] = True
 
@@ -172,32 +234,20 @@ def audit_theorem(theorem: TheoremId, g: HedgeGraph, *, count_loops: bool = True
         witness = dict(modes)
         if extra:
             witness.update(extra)
-        return AuditVerdict(theorem, text, digest, holds, lhs, rhs, witness or None)
+        return AuditVerdict(theorem, f.text, f.digest, holds, lhs, rhs, witness or None)
 
-    def degrees_of(n: int, edges: Sequence[Edge]) -> list[int]:
-        return [len(s) for s in _vertex_label_sets(n, edges, count_loops)]
-
-    degrees = degrees_of(g.n, g.edges)
+    degrees = f.degrees
     delta, big_delta = min(degrees), max(degrees)
 
-    def hedge_total(view: HedgeView) -> int:
-        inside = view.vertex_set
-        if induced_degrees:  # only edges with both ends inside count, so no vertex outside has any
-            return sum(degrees_of(g.n, [e for e in g.edges if e[0] in inside and e[1] in inside]))
-        return sum(degrees[v] for v in inside)
-
     if theorem is TheoremId.T1_MIN_DEG_BOUND:
-        lam = brute_force_connectivity(g, cap=g.num_labels).size
-        return [verdict(lam <= delta, lam, delta)]
+        return [verdict(f.lam <= delta, f.lam, delta)]
 
     if theorem in (TheoremId.T2_RELABEL_GE_MAXDEG, TheoremId.T4_MAXDA_GE_MAXDEG,
                    TheoremId.T5_RELABEL_GE_MAXDA, TheoremId.VIZING_BAND, TheoremId.COROLLARY_CHAIN):
-        adj = adjacency_graph(g)
-        max_da = max(map(len, adj), default=0)
+        max_da = f.max_da
         if theorem is TheoremId.T4_MAXDA_GE_MAXDEG:  # the one claim here that needs no relabeling
             return [verdict(max_da >= big_delta, max_da, big_delta)]
-        greedy_q = _greedy_colors(adj).num_colors
-        optimal_q = _chromatic_number(adj) if g.num_labels <= 8 else None
+        greedy_q, optimal_q = f.greedy_q, f.optimal_q
         q = optimal_q if optimal_q is not None else greedy_q
         q_witness = {"greedy_q": greedy_q, "optimal_q": optimal_q}
         if theorem is TheoremId.T2_RELABEL_GE_MAXDEG:
@@ -206,50 +256,37 @@ def audit_theorem(theorem: TheoremId, g: HedgeGraph, *, count_loops: bool = True
             return [verdict(q >= max_da, q, max_da, q_witness)]
         if theorem is TheoremId.VIZING_BAND:
             return [verdict(max_da <= q <= max_da + 1, q, [max_da, max_da + 1], q_witness)]
-        chain = [brute_force_connectivity(g, cap=g.num_labels).size, delta, big_delta, max_da, q]
+        chain = [f.lam, delta, big_delta, max_da, q]
         holds = all(a <= b for a, b in zip(chain, chain[1:]))
         return [verdict(holds, chain, None, q_witness)]
 
     if theorem is TheoremId.T3_DA_LE_TOTAL:
-        adj = adjacency_graph(g)
-        out = []
-        for i, view in enumerate(_hedge_views(g)):
-            total = hedge_total(view)
-            out.append(verdict(len(adj[i]) <= total, len(adj[i]), total, {"hedge": g.labels[i]}))
-        return out
+        return [verdict(len(nbrs) <= total, len(nbrs), total, {"hedge": name})
+                for nbrs, total, name in zip(f.adj, f.totals, g.labels)]
 
     if theorem in (TheoremId.RANKSUM_STATIC, TheoremId.NULLSUM_STATIC):
-        rank, nullity = graph_rank_nullity(g)
-        if theorem is TheoremId.RANKSUM_STATIC:
-            lhs, rhs = rank, sum(v.rank for v in _hedge_views(g))
-        else:
-            lhs, rhs = nullity, sum(v.nullity for v in _hedge_views(g))
+        side = 0 if theorem is TheoremId.RANKSUM_STATIC else 1  # rank, else nullity
+        lhs, rhs = f.rank_nullity[side], sum((v.rank, v.nullity)[side] for v in f.views)
         return [verdict(lhs == rhs, lhs, rhs)]
 
     if theorem in (TheoremId.RANKSUM_SEQ, TheoremId.NULLSUM_SEQ):
-        rank, nullity = graph_rank_nullity(g)
-        out = []
-        for order in _sample_orders(g, digest):
-            trace = contraction_sequence(g, order)
-            if theorem is TheoremId.RANKSUM_SEQ:
-                lhs, rhs = rank, trace.total_rank_consumed
-            else:
-                lhs, rhs = nullity, trace.total_nullity_consumed
-            out.append(verdict(lhs == rhs, lhs, rhs, {"order": order}))
-        return out
+        side = 0 if theorem is TheoremId.RANKSUM_SEQ else 1  # rank, else nullity
+        lhs = f.rank_nullity[side]
+        return [verdict(lhs == sums[side], lhs, sums[side], {"order": list(order)})
+                for order, sums in f.sequences]
 
     if theorem is TheoremId.VD_EQUALITY:
-        lhs = sum(len(v.vertex_set) for v in _hedge_views(g))
+        lhs = sum(len(v.vertex_set) for v in f.views)
         rhs = sum(degrees)
         return [verdict(lhs == rhs, lhs, rhs)]
 
     if theorem is TheoremId.SPANSUM_UPPER:
-        lhs = sum(v.span for v in _hedge_views(g))
+        lhs = sum(v.span for v in f.views)
         rhs = 2 * g.m - g.n + 1
         return [verdict(lhs <= rhs, lhs, rhs)]
 
     if theorem is TheoremId.SPANSUM_BAND:
-        lhs = sum(v.span for v in _hedge_views(g))
+        lhs = sum(v.span for v in f.views)
         band = [g.n * delta - g.n + 1, g.n * big_delta - g.n + 1]
         return [verdict(band[0] <= lhs <= band[1], lhs, band)]
 
@@ -258,32 +295,28 @@ def audit_theorem(theorem: TheoremId, g: HedgeGraph, *, count_loops: bool = True
         for idx, (u, v, _) in enumerate(g.edges):
             if u == v:
                 continue
-            dw = degrees_of(*_contract_edge(g, idx))[min(u, v)]
+            dw = f.degrees_of(*_contract_edge(g, idx))[min(u, v)]
             band = [max(degrees[u], degrees[v]) - 1, degrees[u] + degrees[v] - 2]
             out.append(verdict(band[0] <= dw <= band[1], dw, band, {"edge": idx}))
         return out
 
     if theorem is TheoremId.CONTRACT_MIN:
-        out = []
-        for i in range(g.num_labels):
-            lhs = min(degrees_of(*_contract(g, i)))
-            out.append(verdict(lhs >= delta - 1, lhs, delta - 1, {"hedge": g.labels[i]}))
-        return out
+        return [verdict(min(after) >= delta - 1, min(after), delta - 1, {"hedge": name})
+                for after, name in zip(f.after, g.labels)]
 
     if theorem in (TheoremId.CONTRACT_H, TheoremId.CONTRACT_SUM):
         out = []
-        for i, view in enumerate(_hedge_views(g)):
-            after_total = sum(degrees_of(*_contract(g, i)))
+        for i, view in enumerate(f.views):
+            after_total = sum(f.after[i])
             if theorem is TheoremId.CONTRACT_H:
                 lhs, rhs = after_total, sum(degrees) - 2 * view.rank
             else:
-                lhs, rhs = sum(degrees), after_total + hedge_total(view) - view.span * (delta - 1)
+                lhs, rhs = sum(degrees), after_total + f.totals[i] - view.span * (delta - 1)
             out.append(verdict(lhs <= rhs, lhs, rhs, {"hedge": g.labels[i]}))
         return out
 
     if theorem is TheoremId.CONTRACT_ADJ:
-        adj = adjacency_graph(g)
-        q = _greedy_colors(adj).num_colors
+        adj, q = f.adj, f.greedy_q
         out = []
         for i in range(g.num_labels):
             adj_after = _adjacency_of(g.num_labels, _vertex_label_sets(*_contract(g, i)))
@@ -324,6 +357,8 @@ def parse_verdict(text: str) -> AuditVerdict:
         key, sep, value = token.partition("=")
         if not sep:
             raise ParseError(1, f"malformed field {token!r}")
+        if key in fields:
+            raise ParseError(1, f"repeated field {key!r}")
         fields[key] = value
     missing = {"theorem", "holds", "lhs", "rhs", "witness", "digest"} - set(fields)
     if missing:
@@ -338,7 +373,7 @@ def parse_verdict(text: str) -> AuditVerdict:
         lhs = json.loads(fields["lhs"])
         rhs = json.loads(fields["rhs"])
         witness = json.loads(fields["witness"])
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):  # RecursionError: nesting too deep to decode
         raise ParseError(1, "lhs/rhs/witness must be valid JSON") from None
     if len(lines) < 2 or lines[1] != "instance-begin":
         raise ParseError(2, "expected 'instance-begin'")

@@ -280,6 +280,59 @@ def test_contraction_claims_build_no_graph(name, monkeypatch, capsys):
     assert built == [parsed]
 
 
+def _order_cases():
+    """Seeded instances on both sides of the 8-label chromatic cutoff, and contraction results."""
+    graphs = [random_instance(GeneratorParams((4, 9), (3, 8), (4, 10), seed=seed)) for seed in range(10)]
+    for g in graphs[:6]:
+        for i in range(g.num_labels):
+            h = contract_hedge(g, i)
+            if h.n >= 2 and is_connected(h) and any(u == v for u, v, _ in h.edges):
+                graphs.append(h)
+                break
+    assert {g.num_labels <= 8 for g in graphs} == {True, False}
+    assert len(graphs) > 10 and any(len({frozenset(e[:2]) for e in h.edges}) < h.m for h in graphs[10:])
+    return graphs
+
+
+def test_claim_order_does_not_change_a_verdict():
+    # each claim's records, run alone on a graph object no audit has seen, are the
+    # reference for runs that share one object forward, in reverse and across modes
+    def records(theorem, g, mode):
+        return "".join(format_verdict(v) for v in audit_theorem(theorem, g, **mode))
+
+    for g in _order_cases():
+        modes = list(enumerate(ALL_MODES))
+        alone = {(k, t): records(t, dataclasses.replace(g), mode) for k, mode in modes for t in TheoremId}
+        for claims in (list(TheoremId), list(TheoremId)[::-1]):
+            assert {(k, t): records(t, g, mode) for k, mode in modes for t in claims} == alone
+        assert {(k, t): records(t, g, mode) for t in TheoremId for k, mode in modes} == alone
+
+
+SHARED = ("emit", "instance_digest", "is_connected", "adjacency_graph", "brute_force_connectivity",
+          "contraction_sequence", "_chromatic_number")
+
+
+def test_audit_all_computes_each_shared_value_once(monkeypatch, capsys):
+    calls = dict.fromkeys(SHARED, 0)
+    for name in SHARED:
+        def counted(*args, _fn=getattr(hedgecut.audit, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(hedgecut.audit, name, counted)
+    fixture = Path(__file__).parent / "fixtures" / "spider.hg"
+    assert cli.main(["audit", str(fixture), "--theorem", "all"]) == 0
+    out = capsys.readouterr().out
+    orders = out.count("verdict theorem=RANKSUM_SEQ ")  # one verdict per sampled order
+    assert orders > 1 and out.count("verdict theorem=") > len(TheoremId)
+    assert calls == {**dict.fromkeys(SHARED, 1), "contraction_sequence": orders}
+    # a replay parses its own graph, so each one starts cold
+    record = parse_verdict(out[:out.index("instance-end\n") + len("instance-end\n")])
+    for _ in range(2):
+        emitted = calls["emit"]
+        assert verify_certificate(record)
+        assert calls["emit"] == emitted + 1
+
+
 def _label_degrees(h, count_loops, inside=None):
     """Distinct labels at each vertex, counted vertex by vertex; ``inside`` keeps edges within it."""
     edges = [(u, v, lab) for u, v, lab in h.edges
@@ -410,6 +463,20 @@ class TestVerdictRecords:
             with pytest.raises(ParseError, match=fragment) as info:
                 parse_verdict(text)
             assert info.value.line == line
+
+    def test_too_deep_json_is_a_parse_error(self):
+        lhs = "[" * 100_000  # json.loads recurses once per level
+        text = f"verdict theorem=VD_EQUALITY holds=true lhs={lhs} rhs=1 witness=null digest=x\n"
+        with pytest.raises(ParseError, match="valid JSON") as info:
+            parse_verdict(text)
+        assert info.value.line == 1
+
+    def test_repeated_field_is_a_parse_error(self, p3):
+        text = format_verdict(audit_theorem(TheoremId.VD_EQUALITY, p3)[0])
+        header, rest = text.split("\n", 1)
+        with pytest.raises(ParseError, match="repeated field 'holds'") as info:
+            parse_verdict(f"{header} holds=false\n{rest}")
+        assert info.value.line == 1
 
 
 class TestVerification:

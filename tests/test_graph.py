@@ -172,7 +172,8 @@ def _reference_build(n, triples):
 
 
 _good_names = st.sampled_from(["a", "b", "c", "x_1"])
-_bad_names = st.sampled_from(["", " ", "a b", "\t", "b\u00a0", "a#b", "#", 0, None, ("a",), ["a"]])
+_BAD_NAMES = ["", " ", "a b", "\t", "b\u00a0", "a#b", "#", 0, None, ("a",), ["a"]]
+_bad_names = st.sampled_from(_BAD_NAMES)
 
 
 @st.composite
@@ -207,10 +208,7 @@ def _edge_lists(draw):
     return n, triples
 
 
-@settings(max_examples=500, deadline=None)
-@given(_edge_lists())
-def test_build_graph_matches_reference(case):
-    n, triples = case
+def _check_against_reference(n, triples):
     expected = _reference_build(n, triples)
     try:
         g = build_graph(n, triples)
@@ -221,6 +219,18 @@ def test_build_graph_matches_reference(case):
         return
     assert expected[0] == "ok", f"accepted input with a fault: {expected}"
     assert (g.edges, g.labels) == expected[1:]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_edge_lists())
+def test_build_graph_matches_reference(case):
+    _check_against_reference(*case)
+
+
+@pytest.mark.parametrize("name", _BAD_NAMES, ids=repr)
+def test_build_graph_matches_reference_on_each_bad_name(name):
+    # the property test draws one bad name among several fault kinds, so one seed can miss a name rule
+    _check_against_reference(3, [(0, 1, "a"), (1, 2, name)])
 
 
 class TestHedgeView:

@@ -37,8 +37,8 @@ from typing import Any, Callable, Sequence
 from .adjacency import _adjacency_of, _greedy_colors, adjacency_graph
 from .connectivity import brute_force_connectivity
 from .contraction import _contract, _contract_edge, contraction_sequence
-from .graph import (Edge, GraphError, HedgeGraph, HedgeView, _hedge_views, _vertex_label_sets,
-                    build_graph, graph_rank_nullity, is_connected)
+from .graph import (_MAX_VERTICES, Edge, GraphError, HedgeGraph, HedgeView, _hedge_views,
+                    _vertex_label_sets, build_graph, graph_rank_nullity, is_connected)
 from .hgformat import ParseError, emit, parse
 from .rng import Rng, mix
 
@@ -449,6 +449,8 @@ def _check_ranges(params: GeneratorParams) -> None:
                                   (params.label_range, 1, "label count")):
         if not (type(lo) is int and type(hi) is int and least <= lo <= hi):  # a bool is no count
             raise GraphError(f"{what} range must satisfy {least} <= lo <= hi")
+    if params.n_range[1] > _MAX_VERTICES:
+        raise GraphError(f"vertex count range must not exceed {_MAX_VERTICES}")
     if type(params.seed) is not int:
         raise GraphError(f"generator seed must be an int, not {params.seed!r}")
 

@@ -4,9 +4,10 @@ The connectivity of a connected hedge graph is the minimum number of
 hedges whose joint removal disconnects it.  Exact answers come from
 subset enumeration (sound because the hedges at a minimum label-degree
 vertex always form a cut, capping the search depth) or, when every label
-has exactly one edge, from a deterministic global min-cut, whose sweep
-stops at a proven lower bound (1 with a bridge, else 2) since no phase
-cuts below it and ties keep the earlier phase.
+has exactly one edge, from a deterministic global min-cut: cycle-space
+values answer a unique bridge or 2-edge cut directly, and otherwise prove
+a lower bound of 1, 2 or 3 at which the sweep stops, since no phase cuts
+below the connectivity and ties keep the earlier phase.
 Larger label sets fall back to seeded randomized hedge contraction,
 which yields an upper bound with a valid certificate.
 
@@ -27,6 +28,7 @@ import itertools
 from dataclasses import dataclass
 
 from .graph import (
+    Edge,
     Forests,
     GraphError,
     HedgeGraph,
@@ -151,33 +153,54 @@ def brute_force_connectivity(g: HedgeGraph, cap: int = 20) -> CutCertificate:
     raise AssertionError("no cut found within the degree bound")
 
 
-def _has_bridge(adj: list[dict[int, int]]) -> bool:
-    """Whether a connected multigraph has a bridge: Tarjan's low-link test, iterative from vertex 0.
+def _small_cut(n: int, edges: tuple[Edge, ...]) -> tuple[frozenset[int] | None, int]:
+    """A unique min cut of one or two edges, else None, and a lower bound on the connectivity.
 
-    ``adj[v]`` maps each neighbour of ``v`` to its edge count, loops left out; the edge
-    back to the DFS parent closes a cycle exactly when its count is above 1.
+    Cycle-space sampling (Pritchard and Thurimella, 2011) on a connected
+    graph with one edge per label: each non-tree edge of a BFS tree from
+    vertex 0 draws a nonzero 64-bit value from a fixed-seed ``Rng``, each
+    tree edge takes the xor of the values whose tree cycle covers it, and
+    loops get none.  A cut's values xor to 0 for every draw, so a bridge
+    gets 0 and a 2-edge cut's edges share a value.  Hence the bound: 1 if
+    some value is 0, 3 if all differ or the one equal pair is no cut, else
+    2.  A lone 0 or lone equal pair that one ``_join`` pass confirms is the
+    only cut that small.
     """
-    order = [0] + [-1] * (len(adj) - 1)  # discovery time, -1 until discovered
-    low = [0] * len(adj)  # least discovery time one back edge reaches from v's subtree
-    stack = [(0, -1, iter(adj[0].items()))]  # (vertex, its DFS parent, counts left)
-    tick = itertools.count(1)
-    while stack:
-        v, up, rest = stack[-1]
-        for x, c in rest:
-            if order[x] < 0:
-                order[x] = low[x] = next(tick)
-                stack.append((x, v, iter(adj[x].items())))
-                break
-            if x != up or c > 1:
-                low[v] = min(low[v], order[x])
-        else:
-            stack.pop()
-            if stack:
-                p = stack[-1][0]
-                if low[v] > order[p]:
-                    return True
-                low[p] = min(low[p], low[v])
-    return False
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for u, v, lab in edges:
+        if u != v:
+            nbrs[u].append((v, lab))
+            nbrs[v].append((u, lab))
+    parent, up, order = [0] + [-1] * (n - 1), [-1] * n, [0]  # up[v]: label of v's tree edge
+    for v in order:  # appending while iterating: a queue, no recursion
+        for x, lab in nbrs[v]:
+            if parent[x] < 0:
+                parent[x], up[x] = v, lab
+                order.append(x)
+    rng, acc, value = Rng(0), [0] * n, {}  # acc[v]: xor of the values at v, then in its subtree
+    for u, v, lab in edges:
+        if u != v and up[u] != lab and up[v] != lab:
+            value[lab] = x = rng.next_u64() or 1
+            acc[u] ^= x
+            acc[v] ^= x
+    for v in reversed(order[1:]):  # leaves first
+        value[up[v]] = acc[v]
+        acc[parent[v]] ^= acc[v]
+    classes: dict[int, list[int]] = {}
+    for lab, x in value.items():
+        classes.setdefault(x, []).append(lab)
+
+    def cuts(labs: list[int]) -> bool:
+        return _join(n, [[(u, v) for u, v, lab in edges if lab not in labs]], ())[1] > 1
+
+    if 0 in classes:
+        return (frozenset(classes[0]) if len(classes[0]) == 1 and cuts(classes[0]) else None), 1
+    shared = [labs for labs in classes.values() if len(labs) > 1]
+    if not shared:
+        return None, 3
+    if len(shared) > 1 or len(shared[0]) > 2:
+        return None, 2
+    return (frozenset(shared[0]), 2) if cuts(shared[0]) else (None, 3)
 
 
 def ordinary_edge_min_cut(g: HedgeGraph) -> CutCertificate:
@@ -189,10 +212,13 @@ def ordinary_edge_min_cut(g: HedgeGraph) -> CutCertificate:
     around the last vertex; the first cheapest phase cut wins.  Edge counts
     live in one dict per vertex (O(n + m) memory) and the sweep pops a lazy
     heap of ints ``vertex - weight * n``: heaviest first, ties to the smallest
-    id.  The sweep stops at the first phase cutting a proven lower bound (1
-    with a bridge, else 2): no phase cuts below the connectivity and ties
-    keep the earlier phase, so the full sweep returns the same cut.  At
-    connectivity 3 or more all n - 1 phases run, O(m log n) heap work each.
+    id.  ``_small_cut`` runs first, in O(n + m): a unique min cut of one or two
+    edges is returned without the sweep, since every exact method returns a
+    unique min cut.  Otherwise it proves a lower bound of 1, 2 or 3, and the
+    sweep stops at the first phase cutting it: no phase cuts below the
+    connectivity and ties keep the earlier phase, so the full sweep returns
+    the same cut.  At connectivity 4 or more all n - 1 phases run, O(m log n)
+    heap work each.
     """
     connected = _connected(g)
     if g.num_labels != g.m:
@@ -200,12 +226,14 @@ def ordinary_edge_min_cut(g: HedgeGraph) -> CutCertificate:
     if not connected:
         return _certificate(g, frozenset(), "fastpath", True)
     n = g.n
+    cut, lower = _small_cut(n, g.edges)
+    if cut is not None:
+        return _certificate(g, cut, "fastpath", True)
     adj: list[dict[int, int]] = [{} for _ in range(n)]  # vertex -> neighbour -> edge count
     for u, v, _ in g.edges:
         if u != v:
             adj[u][v] = adj[u].get(v, 0) + 1
             adj[v][u] = adj[v].get(u, 0) + 1
-    lower = 1 if _has_bridge(adj) else 2  # before the sweep merges adj
     merges: list[tuple[int, int]] = []  # (s, t) of each phase: t merged into s
     best = (g.m + 1, 0, 0)  # (cut value, phase, t); ties keep the earlier phase
     for phase in range(n - 1):

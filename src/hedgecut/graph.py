@@ -32,6 +32,9 @@ from typing import Collection, Iterable, Sequence, Union
 Edge = tuple[int, int, int]  # (u, v, label id)
 LabelRef = Union[int, str]
 Forests = list[list[tuple[int, int]]]  # label id -> (u, v) pairs, usually a spanning forest
+# most vertices an HG1 header or a generator range may ask for: every command
+# keeps a few hundred bytes per vertex, whether or not the vertex has an edge
+_MAX_VERTICES = 1_000_000
 
 
 class GraphError(ValueError):

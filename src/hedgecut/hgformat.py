@@ -9,7 +9,8 @@ Layout::
 Only a line feed ends a line: a CRLF file parses (its carriage return is
 whitespace), and a form feed or a bare carriage return ends no line.
 ``#`` starts a comment running to end of line; blank lines are ignored.
-Labels are tokens free of whitespace and ``#``.  ``parse`` accepts simple graphs only
+Labels are tokens free of whitespace and ``#``.  A header may declare at
+most 1,000,000 vertices (``graph._MAX_VERTICES``).  ``parse`` accepts simple graphs only
 (the input contract) but checks only syntax, reporting a syntax fault
 before any graph fault.  ``emit`` serializes any hedge graph, writing
 edges in stored order, so first appearances of label names follow
@@ -19,7 +20,7 @@ bit-exactly.
 
 from __future__ import annotations
 
-from .graph import GraphError, HedgeGraph, build_graph
+from .graph import _MAX_VERTICES, GraphError, HedgeGraph, build_graph
 
 
 class ParseError(GraphError):
@@ -63,6 +64,8 @@ def parse(text: str) -> HedgeGraph:
             n, m = _decimals(parts[1], parts[2], lineno, "header counts")
             if n < 1:
                 raise ParseError(lineno, "header counts out of range")
+            if n > _MAX_VERTICES:  # before anything is allocated per vertex
+                raise ParseError(lineno, f"header vertex count exceeds the limit of {_MAX_VERTICES}")
             header = (n, m)
             header_line = lineno
             continue

@@ -587,6 +587,8 @@ class TestGenerator:
     def test_invalid_ranges_rejected(self):
         with pytest.raises(GraphError, match="vertex count"):
             random_instance(GeneratorParams(n_range=(1, 3)))
+        with pytest.raises(GraphError, match="^vertex count range must not exceed 1000000$"):
+            random_instance(GeneratorParams(n_range=(2, 1_000_001)))
         with pytest.raises(GraphError, match="extra edge"):
             random_instance(GeneratorParams(extra_range=(-1, 2)))
         with pytest.raises(GraphError, match="label count"):

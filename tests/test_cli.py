@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -352,7 +353,9 @@ MATRIX_COMMANDS = {
     "relabel": (["relabel", "{}"], ["--seed", "1"]),  # relabel takes no options
     "audit": (["audit", "{}", "--theorem", "all"], ["--theorem", "NOPE"]),
 }
-FILE_FAULTS = {"bad-header": b"HG2 2 1\n0 1 a\n", "non-ascii": b"HG1 2 1\n0 1 caf\xc3\xa9\n"}
+FILE_FAULTS = {"bad-header": b"HG2 2 1\n0 1 a\n", "non-ascii": b"HG1 2 1\n0 1 caf\xc3\xa9\n",
+               # one vertex over the limit, so a missing check costs a bounded few hundred MB
+               "vertex-limit": b"HG1 1000001 1\n0 1 a\n"}
 
 
 def main_exit_code(argv, capsys):
@@ -368,7 +371,8 @@ def main_exit_code(argv, capsys):
     return code
 
 
-@pytest.mark.parametrize("fault", ["missing", "directory", "bad-header", "non-ascii", "bad-option"])
+@pytest.mark.parametrize("fault", ["missing", "directory", "bad-header", "non-ascii", "vertex-limit",
+                                   "bad-option"])
 @pytest.mark.parametrize("command", list(MATRIX_COMMANDS))
 def test_exit_code_matrix(command, fault, tmp_path, capsys, monkeypatch):
     # every input error exits 2 with a message and no traceback; exit 1 is
@@ -389,10 +393,28 @@ def test_exit_code_matrix(command, fault, tmp_path, capsys, monkeypatch):
     ["generate", "--params", "n=8..2"],
     ["generate", "--params", "q=1..2"],
     ["generate", "--seed", "x"],
-], ids=["reversed-range", "unknown-key", "non-int-seed"])
+    ["generate", "--params", "n=1000001..1000001"],
+], ids=["reversed-range", "unknown-key", "non-int-seed", "vertex-limit"])
 def test_generate_exit_code(argv, capsys, monkeypatch):
     monkeypatch.delenv("HEDGECUT_SEED", raising=False)
     assert main_exit_code(argv, capsys) == 2
+
+
+def test_vertex_limit_is_refused_before_any_allocation(tmp_path, capsys, monkeypatch):
+    # every command would otherwise build lists or sets over all vertices
+    monkeypatch.delenv("HEDGECUT_SEED", raising=False)
+    path = tmp_path / "vertex-limit.hg"
+    path.write_bytes(FILE_FAULTS["vertex-limit"])
+    cli.build_parser()  # built once and cached; not the input's cost
+    for argv, _ in MATRIX_COMMANDS.values():
+        tracemalloc.start()
+        try:
+            code = cli.main([str(path) if arg == "{}" else arg for arg in argv])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and peak < 200_000, (argv, peak)
+        assert capsys.readouterr().err == "error: line 1: header vertex count exceeds the limit of 1000000\n"
 
 
 class TestDeterminism:

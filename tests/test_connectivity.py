@@ -1,4 +1,5 @@
 import heapq
+import itertools
 import random
 import time
 import tracemalloc
@@ -179,6 +180,21 @@ class TestOrdinaryMinCut:
         assert validate_certificate(g, cert)
         assert len(pops) <= 2 * n, len(pops)
 
+    def test_sweep_stops_at_once_at_connectivity_3(self, monkeypatch):
+        # the cycle-space bound proves 3 on a circular ladder, which phase 0 cuts;
+        # all 399 phases pop about 110,000 times
+        g = _ladder(200)
+        pops = []
+
+        def counted(heap, _pop=heapq.heappop):
+            pops.append(1)
+            return _pop(heap)
+        monkeypatch.setattr(heapq, "heappop", counted)
+        cert = ordinary_edge_min_cut(g)
+        assert cert.size == 3
+        assert validate_certificate(g, cert)
+        assert len(pops) < 1000, len(pops)
+
 
 def _bridge_test_graphs() -> list[HedgeGraph]:
     """120 seeded connected graphs, one edge per label, with parallel edges and loops,
@@ -199,34 +215,46 @@ def _bridge_test_graphs() -> list[HedgeGraph]:
     return graphs
 
 
-def _edge_counts(g):
-    """``ordinary_edge_min_cut``'s adjacency: vertex -> neighbour -> edge count, loops left out."""
-    adj = [{} for _ in range(g.n)]
-    for u, v, _ in g.edges:
-        if u != v:
-            adj[u][v] = adj[u].get(v, 0) + 1
-            adj[v][u] = adj[v].get(u, 0) + 1
-    return adj
+def _ladder(k: int) -> HedgeGraph:
+    """The circular ladder on 2k vertices, one label per edge: 3-regular, connectivity 3."""
+    pairs = [(i, (i + 1) % k) for i in range(k)] + [(k + i, k + (i + 1) % k) for i in range(k)]
+    pairs += [(i, k + i) for i in range(k)]
+    return build_graph(2 * k, [(u, v, f"e{i}") for i, (u, v) in enumerate(pairs)])
 
 
 def test_has_bridge_matches_brute_force():
-    # a bridge is a non-loop edge whose removal alone disconnects the graph
+    # a bridge is a non-loop edge whose removal alone disconnects the graph; it always
+    # gets the cycle-space value 0, so the bound is 1 exactly when one exists, and a
+    # lone bridge is the answer once a _join pass confirms it
     graphs = _bridge_test_graphs()
-    answers = [connectivity._has_bridge(_edge_counts(g)) for g in graphs]
-    for g, answer in zip(graphs, answers):
-        assert answer == any(not is_connected(remove_hedges(g, [lab]))
-                             for lab, (u, v, _) in enumerate(g.edges) if u != v), g
+    results = [connectivity._small_cut(g.n, g.edges) for g in graphs]
+    answers = [lower == 1 for _, lower in results]
+    for g, answer, (cut, _) in zip(graphs, answers, results):
+        bridges = {lab for lab, (u, v, _) in enumerate(g.edges)
+                   if u != v and not is_connected(remove_hedges(g, [lab]))}
+        assert answer == bool(bridges), g
+        if answer:
+            assert cut == (frozenset(bridges) if len(bridges) == 1 else None), g
     links = [[(min(u, v), max(u, v)) for u, v, _ in g.edges if u != v] for g in graphs]
     assert 60 <= sum(answers) <= len(graphs) - 60  # both answers are well covered
     assert sum(len(set(pairs)) < len(pairs) for pairs in links) >= 150  # parallel edges
     assert sum(len(pairs) < g.m for pairs, g in zip(links, graphs)) >= 150  # loops
+    assert sum(cut is not None and lower == 1 for cut, lower in results) >= 40  # lone bridges
 
 
 def test_has_bridge_is_iterative_on_long_paths():
     n = 20_000
     path = [(v, v + 1, f"e{v}") for v in range(n - 1)]
-    assert connectivity._has_bridge(_edge_counts(build_graph(n, path))) is True
-    assert connectivity._has_bridge(_edge_counts(build_graph(n, path + [(n - 1, 0, "back")]))) is False
+    assert connectivity._small_cut(n, build_graph(n, path).edges) == (None, 1)  # all bridges
+    cycle = build_graph(n, path + [(n - 1, 0, "back")])
+    assert connectivity._small_cut(n, cycle.edges) == (None, 2)  # one class of n values
+    lasso = build_graph(n, path[:-1] + [(n - 2, 0, "back"), (n - 2, n - 1, "tail")])
+    assert connectivity._small_cut(n, lasso.edges) == (frozenset({lasso.label_id("tail")}), 1)
+
+
+def _min_cut_corpus() -> list[HedgeGraph]:
+    """Singleton graphs with parallel edges and loops, and circular ladders (the last 9)."""
+    return singleton_label_graphs() + _bridge_test_graphs() + [_ladder(k) for k in range(3, 12)]
 
 
 def test_singleton_min_cut_builds_no_forest(monkeypatch):
@@ -239,6 +267,45 @@ def test_singleton_min_cut_builds_no_forest(monkeypatch):
     for g in graphs:
         assert ordinary_edge_min_cut(g) == hedge_connectivity(g)
     assert calls == []
+
+
+class _Draws:
+    """An ``Rng`` stand-in whose values repeat or xor to one another, so values collide."""
+
+    def __init__(self, draws):
+        self._draws = iter(draws)
+
+    def next_u64(self) -> int:
+        return next(self._draws)
+
+
+@pytest.mark.parametrize("draws", [
+    None,
+    lambda: itertools.repeat(1),
+    lambda: itertools.cycle([1, 2, 3]),
+    lambda: itertools.chain([1, 2, 3], (1 << i for i in itertools.count(2))),  # 3 = 1 ^ 2
+], ids=["seeded", "one-value", "three-values", "one-xor"])
+def test_small_cut_keeps_the_sweeps_certificate(draws, monkeypatch):
+    # a unique min cut is every exact method's answer, and the sweep stops only at a
+    # proven bound, so the answer is the full sweep's for every draw, colliding ones too
+    if draws:
+        monkeypatch.setattr(connectivity, "Rng", lambda seed: _Draws(draws()))
+    graphs = _min_cut_corpus()
+    results = [connectivity._small_cut(g.n, g.edges) for g in graphs]
+    certs = [ordinary_edge_min_cut(g) for g in graphs]
+    monkeypatch.setattr(connectivity, "_small_cut", lambda n, edges: (None, 1))
+    assert certs == [ordinary_edge_min_cut(g) for g in graphs]  # the full sweep's answers
+    assert all(lower <= cert.size for (_, lower), cert in zip(results, certs))
+
+
+def test_small_cut_answers_and_bounds():
+    graphs = _min_cut_corpus()
+    results = [connectivity._small_cut(g.n, g.edges) for g in graphs]
+    direct = [len(cut) for cut, _ in results if cut is not None]
+    assert direct.count(1) >= 40 and direct.count(2) >= 20, direct
+    bounds = [lower for _, lower in results]
+    assert bounds[-9:] == [3] * 9  # the ladders
+    assert sum(lower == ordinary_edge_min_cut(g).size == 3 for g, lower in zip(graphs, bounds)) > 9
 
 
 class TestRandomized:

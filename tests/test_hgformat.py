@@ -24,6 +24,11 @@ class TestParse:
             parse("HG2 2 1\n0 1 a\n")
         assert err.value.line == 1
 
+    def test_vertex_limit(self):
+        assert parse("HG1 1000000 1\n0 1 a\n").n == 1_000_000  # parsing allocates nothing per vertex
+        with pytest.raises(ParseError, match="^line 2: header vertex count exceeds the limit of 1000000$"):
+            parse("# refused before the edge lines are read\nHG1 1000001 1\nnot an edge\n")
+
     def test_non_integer_counts(self):
         with pytest.raises(ParseError, match="decimal"):
             parse("HG1 two 1\n0 1 a\n")

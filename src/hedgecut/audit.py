@@ -43,6 +43,7 @@ from .hgformat import ParseError, emit, parse
 from .rng import Rng, mix
 
 _ORDER_DRAWS = 5  # label shuffles per instance for the per-order claims; repeats are kept once
+_MAX_EXTRA_EDGES = 1_000_000  # highest extra_range end: random_instance builds each extra edge
 
 
 class TheoremId(str, Enum):
@@ -451,6 +452,8 @@ def _check_ranges(params: GeneratorParams) -> None:
             raise GraphError(f"{what} range must satisfy {least} <= lo <= hi")
     if params.n_range[1] > _MAX_VERTICES:
         raise GraphError(f"vertex count range must not exceed {_MAX_VERTICES}")
+    if params.extra_range[1] > _MAX_EXTRA_EDGES:
+        raise GraphError(f"extra edge range must not exceed {_MAX_EXTRA_EDGES}")
     if type(params.seed) is not int:
         raise GraphError(f"generator seed must be an int, not {params.seed!r}")
 

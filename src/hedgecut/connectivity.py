@@ -267,29 +267,37 @@ def _contraction_trial(n: int, forests: Forests, seed: int) -> frozenset[int]:
     """The cut labels of one contraction trial on the flat forests of a connected graph.
 
     ``cls[v]`` is the class (super-vertex) of original vertex ``v``, named
-    by one of its members.  ``live`` maps each label not yet contracted
-    to a forest whose endpoints ``cls`` maps to the current classes.
-    Contraction only turns such edges into loops or closes cycles, so the
-    stored length bounds the label's rank from above; the forest is
-    rebuilt over the current classes, giving the exact rank, only when
-    that bound does not already prove the label safe.  The final classes
-    are the components left once the returned labels are removed.
+    by one of its members.  ``live`` maps each label neither contracted
+    nor cut to pairs that join what it joins, which ``cls`` maps to the
+    current classes; contraction only makes loops and cycles of them, so
+    their length bounds the label's rank.  When that bound does not prove
+    the label safe, its non-loop class pairs are the next bound, and only
+    then is a forest built for the exact rank.  A label of rank
+    ``count - 1`` joins every class, stays so, and crosses the final two
+    or more: it is retired into the cut, and ``live``, in label id order,
+    is the safe list.  The final classes are the components left once the
+    returned labels are removed.
     """
     rng = Rng(seed)
     cls = list(range(n))
     members = [[v] for v in range(n)]
     count = n
     live = dict(enumerate(forests))  # ascending label id, the order of the safe list
+    cut = []
     while count > 2:
-        safe = []
-        for lab, pairs in live.items():
-            if count - len(pairs) < 2:
-                pairs = live[lab] = _forest((cls[u], cls[v]) for u, v in pairs)
-            if count - len(pairs) >= 2:
-                safe.append(lab)
-        if not safe:
+        for lab, pairs in list(live.items()):
+            if len(pairs) > count - 2:
+                pairs = [(a, b) for u, v in pairs if (a := cls[u]) != (b := cls[v])]
+                if len(pairs) > count - 2:
+                    pairs = _forest(pairs)
+                if len(pairs) > count - 2:  # it joins every class
+                    del live[lab]
+                    cut.append(lab)
+                else:
+                    live[lab] = pairs
+        if not live:
             break
-        for u, v in live.pop(safe[rng.below(len(safe))]):
+        for u, v in live.pop(list(live)[rng.below(len(live))]):
             a, b = cls[u], cls[v]
             if a == b:
                 continue
@@ -299,8 +307,8 @@ def _contraction_trial(n: int, forests: Forests, seed: int) -> frozenset[int]:
                 cls[x] = a
             members[a] += members[b]
             count -= 1
-    return frozenset(lab for lab, pairs in live.items()
-                     if any(cls[u] != cls[v] for u, v in pairs))
+    return frozenset(cut).union(lab for lab, pairs in live.items()
+                                if any(cls[u] != cls[v] for u, v in pairs))
 
 
 def randomized_contraction_cut(g: HedgeGraph, seed: int) -> CutCertificate:
@@ -311,7 +319,9 @@ def randomized_contraction_cut(g: HedgeGraph, seed: int) -> CutCertificate:
     and a hedge's rank the number of merges its edges would cause now, a
     hedge is safe when ``count - rank >= 2``; safe hedges are listed in
     label id order and the pick is ``safe[rng.below(len(safe))]``.  A
-    contracted hedge is retired.  A hedge whose edges have all become
+    contracted hedge is retired, and so is one joining every group (rank
+    ``count - 1``, first bounded by its non-loop group pairs): it is never
+    safe again and is in the cut.  A hedge whose edges have all become
     loops is not retired: it stays a rank-0 pick that merges nothing, as
     dropping it would change the draw sequence.  The labels still
     crossing the final vertex groups form the candidate cut; side_a is

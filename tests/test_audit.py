@@ -591,6 +591,8 @@ class TestGenerator:
             random_instance(GeneratorParams(n_range=(2, 1_000_001)))
         with pytest.raises(GraphError, match="extra edge"):
             random_instance(GeneratorParams(extra_range=(-1, 2)))
+        with pytest.raises(GraphError, match="^extra edge range must not exceed 1000000$"):
+            random_instance(GeneratorParams(extra_range=(0, 1_000_001)))
         with pytest.raises(GraphError, match="label count"):
             random_instance(GeneratorParams(label_range=(0, 2)))
 

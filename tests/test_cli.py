@@ -9,7 +9,8 @@ import pytest
 
 from conftest import FIXTURES
 import hedgecut.graph
-from hedgecut import TheoremId, build_graph, cli, emit, parse_verdict
+from hedgecut import (GeneratorParams, GraphError, TheoremId, build_graph, cli, emit,
+                      parse_verdict, search_counterexample)
 
 C4ALT = str(FIXTURES / "c4alt.hg")
 SPIDER = str(FIXTURES / "spider.hg")
@@ -394,7 +395,8 @@ def test_exit_code_matrix(command, fault, tmp_path, capsys, monkeypatch):
     ["generate", "--params", "q=1..2"],
     ["generate", "--seed", "x"],
     ["generate", "--params", "n=1000001..1000001"],
-], ids=["reversed-range", "unknown-key", "non-int-seed", "vertex-limit"])
+    ["generate", "--params", "extra=0..1000001"],
+], ids=["reversed-range", "unknown-key", "non-int-seed", "vertex-limit", "extra-edge-limit"])
 def test_generate_exit_code(argv, capsys, monkeypatch):
     monkeypatch.delenv("HEDGECUT_SEED", raising=False)
     assert main_exit_code(argv, capsys) == 2
@@ -415,6 +417,34 @@ def test_vertex_limit_is_refused_before_any_allocation(tmp_path, capsys, monkeyp
             tracemalloc.stop()
         assert code == 2 and peak < 200_000, (argv, peak)
         assert capsys.readouterr().err == "error: line 1: header vertex count exceeds the limit of 1000000\n"
+
+
+def test_extra_edge_limit_is_refused_before_any_work(capsys, monkeypatch):
+    # at n = 200 a lost check would clamp the range to 19,701 extra edges, about
+    # 10 MB and a second of work, so the limit itself is never run
+    monkeypatch.delenv("HEDGECUT_SEED", raising=False)
+    ranges = "n=200..200,extra=1000001..1000001"
+    params = GeneratorParams((200, 200), (1_000_001, 1_000_001))
+    message = "extra edge range must not exceed 1000000"
+    cli.build_parser()  # built once and cached; not the input's cost
+    for argv in (["generate", "--params", ranges],
+                 ["audit", "--random", "--theorem", "T1_MIN_DEG_BOUND", "--params", ranges]):
+        tracemalloc.start()
+        try:
+            code = cli.main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and peak < 200_000, (argv, peak)
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphError, match=f"^{message}$"):
+            search_counterexample(TheoremId.T1_MIN_DEG_BOUND, params, trials=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000, peak
 
 
 class TestDeterminism:

@@ -1,6 +1,7 @@
 import heapq
 import itertools
 import random
+import sys
 import time
 import tracemalloc
 
@@ -8,6 +9,7 @@ import pytest
 
 from hedgecut import (
     CutCertificate,
+    GeneratorParams,
     GraphError,
     HedgeGraph,
     brute_force_connectivity,
@@ -15,17 +17,20 @@ from hedgecut import (
     connectivity,
     contract_edge,
     contract_hedge,
+    contraction,
     default_trial_count,
     hedge_connectivity,
     hedge_view,
     is_connected,
     min_label_degree_bound,
     ordinary_edge_min_cut,
+    random_instance,
     randomized_connectivity,
     randomized_contraction_cut,
     remove_hedges,
     validate_certificate,
 )
+from hedgecut.rng import Rng, mix
 from conftest import singleton_label_graphs
 
 
@@ -361,6 +366,117 @@ class TestRandomized:
         assert default_trial_count(1) == 1
         assert default_trial_count(2) == 8
         assert default_trial_count(8) == 256
+
+
+def _reference_trial(n, forests, seed):
+    """The contraction trial as it was before hedges joining every class were retired:
+    every step rebuilds each label whose stored length fails the bound and lists the
+    safe ones.  It calls ``connectivity._forest`` so a wrapper sees both kernels."""
+    rng = Rng(seed)
+    cls = list(range(n))
+    members = [[v] for v in range(n)]
+    count = n
+    live = dict(enumerate(forests))
+    while count > 2:
+        safe = []
+        for lab, pairs in live.items():
+            if count - len(pairs) < 2:
+                pairs = live[lab] = connectivity._forest((cls[u], cls[v]) for u, v in pairs)
+            if count - len(pairs) >= 2:
+                safe.append(lab)
+        if not safe:
+            break
+        for u, v in live.pop(safe[rng.below(len(safe))]):
+            a, b = cls[u], cls[v]
+            if a == b:
+                continue
+            if len(members[a]) < len(members[b]):
+                a, b = b, a
+            for x in members[b]:
+                cls[x] = a
+            members[a] += members[b]
+            count -= 1
+    return frozenset(lab for lab, pairs in live.items()
+                     if any(cls[u] != cls[v] for u, v in pairs))
+
+
+def _flat(n, edges):
+    """Per-label forests of an edge list, and its raw per-label pairs (loops and
+    parallels kept), over the labels it uses; both join what each label joins."""
+    used = sorted({lab for _, _, lab in edges})
+    raw = [[(u, v) for u, v, lab in edges if lab == used_lab] for used_lab in used]
+    return [(n, [connectivity._forest(pairs) for pairs in raw]), (n, raw)]
+
+
+def _two_halves(seed):
+    """Two halves of 6-15 vertices, each 3 random spanning trees split into 2 labels,
+    joined by 1-3 cross labels of 1-3 edges: the cross labels are the small cuts.
+    Trees may share edges, so labels may run parallel."""
+    rng = random.Random(seed)
+    sizes = (rng.randint(6, 15), rng.randint(6, 15))
+    verts = list(range(sum(sizes)))
+    rng.shuffle(verts)
+    halves = [verts[:sizes[0]], verts[sizes[0]:]]
+    edges = []
+    for h, half in enumerate(halves):
+        for t in range(3):
+            order = rng.sample(half, len(half))
+            for i in range(1, len(order)):
+                edges.append((order[rng.randrange(i)], order[i], 6 * h + 2 * t + i % 2))
+    cross = rng.randint(1, 3)
+    for c in range(cross):
+        for _ in range(rng.randint(1, 3)):
+            edges.append((rng.choice(halves[0]), rng.choice(halves[1]), 12 + c))
+    return HedgeGraph(len(verts), tuple(edges), tuple(f"l{lab}" for lab in range(12 + cross)))
+
+
+def _trial_inputs():
+    """Flat inputs of random instances, their hedge and edge contractions (loops and
+    parallel edges), and the two-halves family."""
+    graphs = [random_instance(GeneratorParams((2, 12), (0, 8), (1, 6), seed=seed))
+              for seed in range(60)] + [_two_halves(seed) for seed in range(20)]
+    inputs = [(g.n, connectivity._hedge_forests(g)) for g in graphs]
+    for i, g in enumerate(graphs[:60]):
+        inputs += _flat(*contraction._contract(g, i % g.num_labels))
+        inputs += _flat(*contraction._contract_edge(g, i % g.m))  # random instances have no loops
+    return [(n, forests) for n, forests in inputs if n >= 2]
+
+
+def test_trial_matches_reference_kernel():
+    # retiring a hedge that joins every class, and bounding ranks by non-loop class
+    # pairs first, change no draw: every trial returns the reference's labels
+    inputs = _trial_inputs()
+    seeds = [mix(7, t) for t in range(5)]
+    trials = [(n, forests, seed) for n, forests in inputs for seed in seeds]
+    assert len(trials) >= 1000
+    cuts = [connectivity._contraction_trial(*trial) for trial in trials]
+    assert cuts == [_reference_trial(*trial) for trial in trials]
+    assert sum(len(cut) >= 2 for cut in cuts) >= 300  # not only pendant vertices
+
+
+def test_trial_retires_spanning_hedges_and_builds_fewer_forests(monkeypatch):
+    # a _forest result of count - 1 pairs joins every current class; the reference
+    # rebuilds such a hedge at every later step, the kernel retires it into the cut
+    spanning = []  # per _forest call: does the result join every current class?
+    forest = connectivity._forest
+
+    def counted(pairs):
+        kept = forest(pairs)
+        spanning.append(len(kept) == sys._getframe(1).f_locals["count"] - 1)
+        return kept
+
+    g = _two_halves(3)
+    forests = connectivity._hedge_forests(g)
+    monkeypatch.setattr(connectivity, "_forest", counted)
+    runs = {}
+    for kernel in (_reference_trial, connectivity._contraction_trial):
+        spanning.clear()
+        cuts = [kernel(g.n, forests, mix(0, t)) for t in range(8)]
+        runs[kernel] = (cuts, len(spanning), sum(spanning))
+    (ref_cuts, ref_calls, ref_spanning), (cuts, calls, retired) = runs.values()
+    assert cuts == ref_cuts
+    assert calls < ref_calls, (calls, ref_calls)
+    assert 0 < retired < ref_spanning, (retired, ref_spanning)
 
 
 class TestDispatch:

@@ -1,7 +1,7 @@
 """Executable adjudication of the structural claims about hedge graphs.
 
-Each claim gets an identifier and an auditor that computes both sides of
-the stated relation on a concrete instance, returning verdicts that
+Each claim gets an identifier and one row of ``_CLAIMS`` that computes both
+sides of the stated relation on a concrete instance, giving verdicts that
 carry the full instance serialization and a digest, so any verdict can
 be re-checked from scratch.  A seeded generator and counterexample
 search adjudicate claims that are expected to fail; the set of claims
@@ -32,6 +32,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
 from heapq import heapify, heappop, heappush
+from operator import eq, ge, le
 from typing import Any, Callable, Sequence
 
 from .adjacency import _adjacency_of, _greedy_colors, adjacency_graph
@@ -158,9 +159,10 @@ class _lazy:
 class _Facts:
     """The values several claims read of one connected graph in one degree mode.
 
-    Text, digest and degrees are built at once, each ``_lazy`` value on its first
-    read, so a lone claim computes only what it reads.  Shared values are
-    immutable, so no claim can change another's input.
+    Text, digest, modes and degrees are built at once, each ``_lazy`` value on its
+    first read, so a lone claim computes only what it reads.  No shared value is
+    changed in place (verdicts get copies of the two witness dicts), so no claim
+    can change another's input.
     """
 
     def __init__(self, g: HedgeGraph, count_loops: bool, induced_degrees: bool):
@@ -169,16 +171,24 @@ class _Facts:
         self.g, self.count_loops, self.induced_degrees = g, count_loops, induced_degrees
         self.text = emit(g)
         self.digest = instance_digest(self.text)
+        # the non-default degree modes, which every witness records
+        self.modes: dict[str, Any] = {} if count_loops else {"count_loops": False}
+        if induced_degrees:
+            self.modes["induced_degrees"] = True
         self.degrees = tuple(self.degrees_of(g.n, g.edges))
+        self.delta, self.big_delta = min(self.degrees), max(self.degrees)
 
     def degrees_of(self, n: int, edges: Sequence[Edge]) -> list[int]:
         return [len(s) for s in _vertex_label_sets(n, edges, self.count_loops)]
 
     views = _lazy(lambda f: tuple(_hedge_views(f.g)))
+    span_sum = _lazy(lambda f: sum(v.span for v in f.views))
     adj = _lazy(lambda f: adjacency_graph(f.g))
     max_da = _lazy(lambda f: max(map(len, f.adj), default=0))
     greedy_q = _lazy(lambda f: _greedy_colors(f.adj).num_colors)
     optimal_q = _lazy(lambda f: _chromatic_number(f.adj) if f.g.num_labels <= 8 else None)
+    q = _lazy(lambda f: f.greedy_q if f.optimal_q is None else f.optimal_q)
+    q_witness = _lazy(lambda f: {"greedy_q": f.greedy_q, "optimal_q": f.optimal_q})
     lam = _lazy(lambda f: brute_force_connectivity(f.g, cap=f.g.num_labels).size)
     rank_nullity = _lazy(lambda f: graph_rank_nullity(f.g))
     # label degrees after each hedge's contraction, by label id
@@ -208,6 +218,61 @@ class _Facts:
         return tuple((o, (t.total_rank_consumed, t.total_nullity_consumed)) for o, t in zip(orders, traces))
 
 
+def _within(x: int, band: list[int]) -> bool:
+    return band[0] <= x <= band[1]
+
+
+def _record(relation: Callable[[Any, Any], bool], lhs: Any, rhs: Any,
+            extra: dict[str, Any] | None = None) -> tuple[bool, Any, Any, dict[str, Any] | None]:
+    return relation(lhs, rhs), lhs, rhs, extra
+
+
+# One row per claim, in catalog order: the claim's records (holds, lhs, rhs, witness
+# entries or None) on one graph's facts, one per hedge, edge, pair or order where the
+# claim is per item.  Rows call package functions by their module names when they run
+# and store none, so what replaces hedgecut.audit.<name> (a test, a tracer) sees every call.
+_CLAIMS: dict[TheoremId, Callable[[_Facts], list[tuple[bool, Any, Any, dict[str, Any] | None]]]] = {
+    TheoremId.T1_MIN_DEG_BOUND: lambda f: [_record(le, f.lam, f.delta)],
+    TheoremId.T2_RELABEL_GE_MAXDEG: lambda f: [_record(ge, f.q, f.big_delta, f.q_witness)],
+    TheoremId.T3_DA_LE_TOTAL: lambda f: [_record(le, len(nbrs), total, {"hedge": name})
+                                         for nbrs, total, name in zip(f.adj, f.totals, f.g.labels)],
+    TheoremId.T4_MAXDA_GE_MAXDEG: lambda f: [_record(ge, f.max_da, f.big_delta)],
+    TheoremId.T5_RELABEL_GE_MAXDA: lambda f: [_record(ge, f.q, f.max_da, f.q_witness)],
+    TheoremId.VIZING_BAND: lambda f: [_record(_within, f.q, [f.max_da, f.max_da + 1], f.q_witness)],
+    # the chain lambda <= delta <= Delta <= max_dA <= q holds when it is already sorted
+    TheoremId.COROLLARY_CHAIN: lambda f: [(chain == sorted(chain), chain, None, f.q_witness)
+                                          for chain in [[f.lam, f.delta, f.big_delta, f.max_da, f.q]]],
+    TheoremId.RANKSUM_STATIC: lambda f: [_record(eq, f.rank_nullity[0], sum(v.rank for v in f.views))],
+    TheoremId.RANKSUM_SEQ: lambda f: [_record(eq, f.rank_nullity[0], rank, {"order": list(order)})
+                                      for order, (rank, _) in f.sequences],
+    TheoremId.NULLSUM_STATIC: lambda f: [_record(eq, f.rank_nullity[1], sum(v.nullity for v in f.views))],
+    TheoremId.NULLSUM_SEQ: lambda f: [_record(eq, f.rank_nullity[1], nullity, {"order": list(order)})
+                                      for order, (_, nullity) in f.sequences],
+    TheoremId.VD_EQUALITY: lambda f: [_record(eq, sum(len(v.vertex_set) for v in f.views), sum(f.degrees))],
+    TheoremId.SPANSUM_UPPER: lambda f: [_record(le, f.span_sum, 2 * f.g.m - f.g.n + 1)],
+    TheoremId.SPANSUM_BAND: lambda f: [_record(_within, f.span_sum, [f.g.n * f.delta - f.g.n + 1,
+                                                                     f.g.n * f.big_delta - f.g.n + 1])],
+    TheoremId.CONTRACTV_BAND: lambda f: [
+        _record(_within, f.degrees_of(*_contract_edge(f.g, idx))[min(u, v)],
+                [max(f.degrees[u], f.degrees[v]) - 1, f.degrees[u] + f.degrees[v] - 2], {"edge": idx})
+        for idx, (u, v, _) in enumerate(f.g.edges) if u != v],
+    TheoremId.CONTRACT_MIN: lambda f: [_record(ge, min(after), f.delta - 1, {"hedge": name})
+                                       for after, name in zip(f.after, f.g.labels)],
+    TheoremId.CONTRACT_H: lambda f: [_record(le, sum(after), sum(f.degrees) - 2 * view.rank, {"hedge": name})
+                                     for view, after, name in zip(f.views, f.after, f.g.labels)],
+    TheoremId.CONTRACT_SUM: lambda f: [
+        _record(le, sum(f.degrees), sum(after) + total - view.span * (f.delta - 1), {"hedge": name})
+        for view, after, total, name in zip(f.views, f.after, f.totals, f.g.labels)],
+    # contracting hedge i predicts each other hedge j's adjacency degree from the greedy q
+    TheoremId.CONTRACT_ADJ: lambda f: [
+        _record(eq, len(adj_after[j]), len(f.adj[j]) + (len(f.adj[i]) - f.greedy_q + 1 if j in f.adj[i] else 0),
+                {"contracted": f.g.labels[i], "hedge": f.g.labels[j], "q": f.greedy_q})
+        for i in range(f.g.num_labels)
+        for adj_after in [_adjacency_of(f.g.num_labels, _vertex_label_sets(*_contract(f.g, i)))]
+        for j in range(f.g.num_labels) if j != i],
+}
+
+
 # The last graph audited, its modes and its facts, read and stored as one tuple;
 # the strong reference keeps the graph's id from being reused while it is here.
 _last: tuple[Any, Any, Any] = (None, None, None)
@@ -227,113 +292,8 @@ def audit_theorem(theorem: TheoremId, g: HedgeGraph, *, count_loops: bool = True
         f = _Facts(g, count_loops, induced_degrees)
         _last = (g, (count_loops, induced_degrees), f)
     theorem = TheoremId(theorem)
-    modes: dict[str, Any] = {} if count_loops else {"count_loops": False}
-    if induced_degrees:
-        modes["induced_degrees"] = True
-
-    def verdict(holds: bool, lhs: Any, rhs: Any, extra: dict[str, Any] | None = None) -> AuditVerdict:
-        witness = dict(modes)
-        if extra:
-            witness.update(extra)
-        return AuditVerdict(theorem, f.text, f.digest, holds, lhs, rhs, witness or None)
-
-    degrees = f.degrees
-    delta, big_delta = min(degrees), max(degrees)
-
-    if theorem is TheoremId.T1_MIN_DEG_BOUND:
-        return [verdict(f.lam <= delta, f.lam, delta)]
-
-    if theorem in (TheoremId.T2_RELABEL_GE_MAXDEG, TheoremId.T4_MAXDA_GE_MAXDEG,
-                   TheoremId.T5_RELABEL_GE_MAXDA, TheoremId.VIZING_BAND, TheoremId.COROLLARY_CHAIN):
-        max_da = f.max_da
-        if theorem is TheoremId.T4_MAXDA_GE_MAXDEG:  # the one claim here that needs no relabeling
-            return [verdict(max_da >= big_delta, max_da, big_delta)]
-        greedy_q, optimal_q = f.greedy_q, f.optimal_q
-        q = optimal_q if optimal_q is not None else greedy_q
-        q_witness = {"greedy_q": greedy_q, "optimal_q": optimal_q}
-        if theorem is TheoremId.T2_RELABEL_GE_MAXDEG:
-            return [verdict(q >= big_delta, q, big_delta, q_witness)]
-        if theorem is TheoremId.T5_RELABEL_GE_MAXDA:
-            return [verdict(q >= max_da, q, max_da, q_witness)]
-        if theorem is TheoremId.VIZING_BAND:
-            return [verdict(max_da <= q <= max_da + 1, q, [max_da, max_da + 1], q_witness)]
-        chain = [f.lam, delta, big_delta, max_da, q]
-        holds = all(a <= b for a, b in zip(chain, chain[1:]))
-        return [verdict(holds, chain, None, q_witness)]
-
-    if theorem is TheoremId.T3_DA_LE_TOTAL:
-        return [verdict(len(nbrs) <= total, len(nbrs), total, {"hedge": name})
-                for nbrs, total, name in zip(f.adj, f.totals, g.labels)]
-
-    if theorem in (TheoremId.RANKSUM_STATIC, TheoremId.NULLSUM_STATIC):
-        side = 0 if theorem is TheoremId.RANKSUM_STATIC else 1  # rank, else nullity
-        lhs, rhs = f.rank_nullity[side], sum((v.rank, v.nullity)[side] for v in f.views)
-        return [verdict(lhs == rhs, lhs, rhs)]
-
-    if theorem in (TheoremId.RANKSUM_SEQ, TheoremId.NULLSUM_SEQ):
-        side = 0 if theorem is TheoremId.RANKSUM_SEQ else 1  # rank, else nullity
-        lhs = f.rank_nullity[side]
-        return [verdict(lhs == sums[side], lhs, sums[side], {"order": list(order)})
-                for order, sums in f.sequences]
-
-    if theorem is TheoremId.VD_EQUALITY:
-        lhs = sum(len(v.vertex_set) for v in f.views)
-        rhs = sum(degrees)
-        return [verdict(lhs == rhs, lhs, rhs)]
-
-    if theorem is TheoremId.SPANSUM_UPPER:
-        lhs = sum(v.span for v in f.views)
-        rhs = 2 * g.m - g.n + 1
-        return [verdict(lhs <= rhs, lhs, rhs)]
-
-    if theorem is TheoremId.SPANSUM_BAND:
-        lhs = sum(v.span for v in f.views)
-        band = [g.n * delta - g.n + 1, g.n * big_delta - g.n + 1]
-        return [verdict(band[0] <= lhs <= band[1], lhs, band)]
-
-    if theorem is TheoremId.CONTRACTV_BAND:
-        out = []
-        for idx, (u, v, _) in enumerate(g.edges):
-            if u == v:
-                continue
-            dw = f.degrees_of(*_contract_edge(g, idx))[min(u, v)]
-            band = [max(degrees[u], degrees[v]) - 1, degrees[u] + degrees[v] - 2]
-            out.append(verdict(band[0] <= dw <= band[1], dw, band, {"edge": idx}))
-        return out
-
-    if theorem is TheoremId.CONTRACT_MIN:
-        return [verdict(min(after) >= delta - 1, min(after), delta - 1, {"hedge": name})
-                for after, name in zip(f.after, g.labels)]
-
-    if theorem in (TheoremId.CONTRACT_H, TheoremId.CONTRACT_SUM):
-        out = []
-        for i, view in enumerate(f.views):
-            after_total = sum(f.after[i])
-            if theorem is TheoremId.CONTRACT_H:
-                lhs, rhs = after_total, sum(degrees) - 2 * view.rank
-            else:
-                lhs, rhs = sum(degrees), after_total + f.totals[i] - view.span * (delta - 1)
-            out.append(verdict(lhs <= rhs, lhs, rhs, {"hedge": g.labels[i]}))
-        return out
-
-    if theorem is TheoremId.CONTRACT_ADJ:
-        adj, q = f.adj, f.greedy_q
-        out = []
-        for i in range(g.num_labels):
-            adj_after = _adjacency_of(g.num_labels, _vertex_label_sets(*_contract(g, i)))
-            for j in range(g.num_labels):
-                if j == i:
-                    continue
-                actual = len(adj_after[j])
-                if j in adj[i]:
-                    predicted = len(adj[j]) + len(adj[i]) - q + 1
-                else:
-                    predicted = len(adj[j])
-                out.append(verdict(actual == predicted, actual, predicted,
-                                   {"contracted": g.labels[i], "hedge": g.labels[j], "q": q}))
-        return out
-
-    raise GraphError(f"unhandled theorem id {theorem!r}")
+    return [AuditVerdict(theorem, f.text, f.digest, holds, lhs, rhs, {**f.modes, **(extra or {})} or None)
+            for holds, lhs, rhs, extra in _CLAIMS[theorem](f)]
 
 
 # json.dumps with options builds a new encoder on every call; one serves every field
@@ -392,7 +352,8 @@ def verify_certificate(v: AuditVerdict) -> bool:
 
     Returns False when the digest does not match the instance text or
     when no freshly computed verdict agrees on (holds, lhs, rhs,
-    witness).  Malformed instance text raises ParseError.
+    witness), JSON types included: ``1.0`` and ``true`` are not ``1``.
+    Malformed instance text raises ParseError.
     """
     if instance_digest(v.instance_text) != v.digest:
         return False
@@ -403,8 +364,20 @@ def verify_certificate(v: AuditVerdict) -> bool:
                               induced_degrees=witness.get("induced_degrees") is True)
     except GraphError:
         return False
-    return any(f.holds == v.holds and f.lhs == v.lhs and f.rhs == v.rhs
-               and f.witness == v.witness for f in fresh)
+    return any(f.holds == v.holds and f.lhs == v.lhs and f.rhs == v.rhs and f.witness == v.witness
+               and _same([f.holds, f.lhs, f.rhs, f.witness], [v.holds, v.lhs, v.rhs, v.witness])
+               for f in fresh)
+
+
+def _same(a: Any, b: Any) -> bool:
+    """``a == b`` with equal types throughout, so ``1``, ``1.0`` and ``True`` differ as in JSON."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is list:
+        return len(a) == len(b) and all(map(_same, a, b))
+    if type(a) is dict:
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    return a == b
 
 
 def _prufer_tree(n: int, seq: Sequence[int]) -> list[tuple[int, int]]:
@@ -510,11 +483,10 @@ def search_counterexample(theorem: TheoremId, params: GeneratorParams,
         raise GraphError(f"at least one trial is required, counted by an int, not {trials!r}")
     _check_ranges(params)
     n_lo, n_hi = params.n_range
-    sizes = list(range(n_lo, n_hi + 1))
-    per_size = -(-trials // len(sizes))
+    per_size = -(-trials // (n_hi - n_lo + 1))
     checked = 0
     for t in range(trials):
-        n = sizes[min(t // per_size, len(sizes) - 1)]
+        n = n_lo + min(t // per_size, n_hi - n_lo)
         g = random_instance(replace(params, n_range=(n, n), seed=mix(params.seed, t)))
         for v in audit_theorem(theorem, g, count_loops=count_loops,
                                induced_degrees=induced_degrees):

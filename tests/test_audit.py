@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import itertools
+import json
+import random
 import tracemalloc
 from pathlib import Path
 
@@ -227,6 +229,10 @@ def test_audit_bytes_pinned(name, mode):
     text = "".join(format_verdict(v) for theorem in TheoremId
                    for v in audit_theorem(theorem, g, **MODES[mode]))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == AUDIT_BYTES[name, mode]
+
+
+def test_one_claim_row_per_theorem_id_in_catalog_order():
+    assert list(hedgecut.audit._CLAIMS) == list(TheoremId)
 
 
 VIEW_READERS = {TheoremId.T3_DA_LE_TOTAL, TheoremId.RANKSUM_STATIC, TheoremId.NULLSUM_STATIC,
@@ -544,6 +550,119 @@ class TestVerification:
         assert "café" in record.instance_text
         assert verify_certificate(record) is False
 
+    def test_rejects_equal_values_of_another_json_type(self, c4alt, p3):
+        # 1.0 and true equal 1 under ==, but format_verdict never prints them for 1
+        band = build_graph(4, [(0, 1, "l4"), (1, 2, "l1"), (2, 3, "l3"), (1, 3, "l2"), (0, 2, "l0")])
+        cases = [(p3, TheoremId.T1_MIN_DEG_BOUND, 0, " lhs=1 ", (" lhs=1.0 ", " lhs=true ")),
+                 (c4alt, TheoremId.T1_MIN_DEG_BOUND, 0, " rhs=2 ", (" rhs=2.0 ",)),
+                 (band, TheoremId.CONTRACTV_BAND, 1, " rhs=[2,4] ", (" rhs=[2.0,4] ",)),
+                 (band, TheoremId.CONTRACTV_BAND, 1, ' witness={"edge":1} ', (' witness={"edge":true} ',))]
+        for g, theorem, index, old, news in cases:
+            text = format_verdict(audit_theorem(theorem, g)[index])
+            assert old in text and verify_certificate(parse_verdict(text))
+            for new in news:
+                record = parse_verdict(text.replace(old, new, 1))
+                assert record == parse_verdict(text)  # == alone cannot tell them apart
+                assert not verify_certificate(record), new
+
+
+def _mutated_value(value, rng):
+    """A JSON value near ``value``: off by one, of another JSON type, or reshaped."""
+    if type(value) is list:
+        if not value:
+            return [0]
+        k, mutated = rng.randrange(len(value)), list(value)
+        kind = rng.randrange(4)
+        if kind == 0:
+            mutated[k] = _mutated_value(value[k], rng)
+        elif kind == 1:
+            del mutated[k]
+        elif kind == 2:
+            mutated.append(value[k])
+        else:
+            rng.shuffle(mutated)
+        return mutated
+    if type(value) is int:
+        return rng.choice([value + 1, value - 1, float(value), value == 1, None, str(value), [value]])
+    if type(value) is bool:
+        return rng.choice([not value, int(value), None])
+    if type(value) is str:
+        return rng.choice(["zz", "l0", "a", 0, None])
+    return rng.choice([0, False, {}, [], "x"])
+
+
+def _mutated_witness(witness, labels, rng):
+    """Drop, add or change one witness key, or replace the witness."""
+    if type(witness) is not dict or rng.random() < 0.15:
+        return rng.choice([None, {}, [1, 2], {"count_loops": False}, {"induced_degrees": True}])
+    mutated, kind = dict(witness), rng.randrange(3)
+    if kind == 0 and mutated:
+        del mutated[rng.choice(sorted(mutated))]
+    elif kind == 1:
+        key = rng.choice(["count_loops", "induced_degrees", "hedge", "edge", "q", "order", "x"])
+        mutated[key] = rng.choice([True, False, 0, 1, rng.choice(labels), list(labels)])
+    elif mutated:
+        key = rng.choice(sorted(mutated))
+        mutated[key] = _mutated_value(mutated[key], rng)
+    return mutated
+
+
+# field texts json.loads rejects or reads as something format_verdict would not print
+_RAW = ["", "01", "+1", "1_0", "[", "NaN", "1e0", "-0", "1.0", "true", "null", '"1"', "{}"]
+
+
+def _mutated_header(header, labels, rng):
+    """One header with one field changed, reordered, dropped or repeated."""
+    tokens = header.split()
+    fields = dict(token.split("=", 1) for token in tokens[1:])
+    kind = rng.choice(["theorem", "holds", "lhs", "rhs", "witness", "digest", "reorder", "drop", "repeat"])
+    if kind == "theorem":
+        fields["theorem"] = rng.choice([t.value for t in TheoremId] + ["NOPE", ""])
+    elif kind == "holds":
+        fields["holds"] = rng.choice(["true", "false", "1", "True", ""])
+    elif kind in ("lhs", "rhs", "witness"):
+        value = json.loads(fields[kind])
+        if rng.random() < 0.2:
+            fields[kind] = rng.choice(_RAW)
+        else:
+            value = _mutated_witness(value, labels, rng) if kind == "witness" else _mutated_value(value, rng)
+            fields[kind] = json.dumps(value, separators=(",", ":"), sort_keys=True)
+    elif kind == "digest":
+        k = rng.randrange(len(fields["digest"]))
+        fields["digest"] = fields["digest"][:k] + rng.choice("0f") + fields["digest"][k + 1:]
+    tokens = [f"{key}={value}" for key, value in fields.items()]
+    if kind == "reorder":
+        rng.shuffle(tokens)
+    elif kind == "drop":
+        del tokens[rng.randrange(len(tokens))]
+    elif kind == "repeat":
+        tokens.append(rng.choice(tokens))
+    return " ".join(["verdict", *tokens])
+
+
+@pytest.mark.parametrize("name", ["c4alt", "p3", "pendants", "spider", "triangle3", "twoi"])
+def test_mutated_records_verify_exactly_when_genuine(name):
+    # the oracle is bytes, not ==: a mutated record verifies exactly when its
+    # re-formatted header is one that some degree mode's audit prints
+    g, rng = _golden_graph(name), random.Random(name)
+    records = [format_verdict(v) for mode in ALL_MODES for theorem in TheoremId
+               for v in audit_theorem(theorem, g, **mode)]
+    genuine = {record.split("\n", 1)[0] for record in records}
+    outcomes = []
+    for record in records:
+        header, body = record.split("\n", 1)
+        for _ in range(8):
+            text = f"{_mutated_header(header, list(g.labels), rng)}\n{body}"
+            try:
+                mutated = parse_verdict(text)
+            except ParseError:
+                outcomes.append("parse error")
+                continue
+            expected = format_verdict(mutated).split("\n", 1)[0] in genuine
+            assert verify_certificate(mutated) is expected, text.split("\n", 1)[0]
+            outcomes.append(expected)
+    assert {"parse error", True, False} <= set(outcomes)
+
 
 class TestGenerator:
     def test_deterministic(self):
@@ -664,6 +783,17 @@ class TestSearch:
         # the size schedule divides by the range's length, so check it first
         with pytest.raises(GraphError, match="vertex count range"):
             search_counterexample(TheoremId.T1_MIN_DEG_BOUND, GeneratorParams(n_range=(5, 3)), 3)
+
+    def test_schedule_does_not_list_the_vertex_range(self):
+        # listing every size of a 2..1,000,000 range peaked near 40 MB
+        tracemalloc.start()
+        try:
+            result = search_counterexample(TheoremId.VD_EQUALITY, GeneratorParams(n_range=(2, 1_000_000)), 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.trials_run == 1 and result.found is None
+        assert peak < 1_000_000
 
     def test_universal_claims_survive_sampling(self):
         for theorem in sorted(UNIVERSAL_IDS):

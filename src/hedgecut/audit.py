@@ -9,13 +9,17 @@ that provably hold on every connected instance is exported so callers
 can treat their violation as an internal error rather than a finding.
 
 Claims on one graph share its derived values (``_Facts``: views,
-adjacency graph, colorings, lambda, ranks, sequence sums, contracted
-degrees), each computed on first read, so a lone claim computes only what
-it reads.  ``audit_theorem`` keeps the facts of the last graph object it
-audited, keyed by identity and degree modes, so ``audit --theorem all``
-computes each value once; ``verify_certificate`` parses a new graph per
-record, so every replay starts cold.  The contraction claims read edge
-lists (``contraction._contract``, ``_contract_edge``), so no claim builds a graph.
+adjacency graph, colorings, lambda, ranks, and per hedge or order the
+contracted degrees and sequence sums), each computed on first read, so a
+lone claim computes only what it reads.  ``audit_theorem`` keeps the facts
+of the last graph object it audited, keyed by identity and degree modes,
+so ``audit --theorem all`` computes each value once.  A per-item claim
+(one record per hedge, edge, pair or order) gives one item's record at a
+time: ``audit_theorem`` asks for every item, ``verify_certificate`` only
+for the item its record's witness names.  A replay parses a new graph per
+record, so it starts cold, but computes only that item.  The contraction
+claims read edge lists (``contraction._contract``, ``_contract_edge``), so
+no claim builds a graph.
 
 Degree conventions are explicit: by default a loop contributes its
 label to its vertex once, and hedge degree totals use degrees measured
@@ -32,8 +36,9 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
 from heapq import heapify, heappop, heappush
+from itertools import permutations, repeat
 from operator import eq, ge, le
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from .adjacency import _adjacency_of, _greedy_colors, adjacency_graph
 from .connectivity import brute_force_connectivity
@@ -156,19 +161,31 @@ class _lazy:
         return value
 
 
+def _memo(fn: Callable[[_Facts, Any], Any]) -> Callable[[_Facts, Any], Any]:
+    """A ``_Facts`` method whose value (never None) for each argument is computed on its first call."""
+    def method(facts: _Facts, arg: Any) -> Any:
+        value = facts.memo.get((fn, arg))
+        if value is None:
+            value = facts.memo[fn, arg] = fn(facts, arg)
+        return value
+    return method
+
+
 class _Facts:
     """The values several claims read of one connected graph in one degree mode.
 
     Text, digest, modes and degrees are built at once, each ``_lazy`` value on its
-    first read, so a lone claim computes only what it reads.  No shared value is
-    changed in place (verdicts get copies of the two witness dicts), so no claim
-    can change another's input.
+    first read and each ``_memo`` value on its first call with one hedge or order,
+    so a lone claim, or one item of it, computes only what it reads.  No shared
+    value is changed in place (verdicts get copies of the two witness dicts), so
+    no claim can change another's input.
     """
 
     def __init__(self, g: HedgeGraph, count_loops: bool, induced_degrees: bool):
         if g.n < 2 or not is_connected(g):
             raise GraphError("audit requires a connected instance with at least 2 vertices")
         self.g, self.count_loops, self.induced_degrees = g, count_loops, induced_degrees
+        self.memo: dict[Any, Any] = {}
         self.text = emit(g)
         self.digest = instance_digest(self.text)
         # the non-default degree modes, which every witness records
@@ -191,8 +208,9 @@ class _Facts:
     q_witness = _lazy(lambda f: {"greedy_q": f.greedy_q, "optimal_q": f.optimal_q})
     lam = _lazy(lambda f: brute_force_connectivity(f.g, cap=f.g.num_labels).size)
     rank_nullity = _lazy(lambda f: graph_rank_nullity(f.g))
-    # label degrees after each hedge's contraction, by label id
-    after = _lazy(lambda f: tuple(tuple(f.degrees_of(*_contract(f.g, i))) for i in range(f.g.num_labels)))
+    # label degrees, and the adjacency graph, after contracting hedge i
+    after = _memo(lambda f, i: tuple(f.degrees_of(*_contract(f.g, i))))
+    adj_after = _memo(lambda f, i: _adjacency_of(f.g.num_labels, _vertex_label_sets(*_contract(f.g, i))))
 
     @_lazy
     def totals(self) -> tuple[int, ...]:
@@ -205,72 +223,120 @@ class _Facts:
                      for inside in insides)
 
     @_lazy
-    def sequences(self) -> tuple[tuple[tuple[str, ...], tuple[int, int]], ...]:
-        """Distinct label orders drawn with a seed from the digest, each with the
-        (rank, nullity) that its contraction sequence consumes."""
+    def orders(self) -> tuple[tuple[str, ...], ...]:
+        """Distinct label orders drawn with a seed from the digest."""
         rng, orders = Rng(int(self.digest[:16], 16)), []
         for _ in range(_ORDER_DRAWS):
             names = list(self.g.labels)
             rng.shuffle(names)
             if tuple(names) not in orders:
                 orders.append(tuple(names))
-        traces = [contraction_sequence(self.g, order) for order in orders]
-        return tuple((o, (t.total_rank_consumed, t.total_nullity_consumed)) for o, t in zip(orders, traces))
+        return tuple(orders)
+
+    @_memo
+    def sums(self, order: tuple[str, ...]) -> tuple[int, int]:
+        """The (rank, nullity) that the contraction sequence of ``order`` consumes."""
+        trace = contraction_sequence(self.g, order)
+        return trace.total_rank_consumed, trace.total_nullity_consumed
 
 
 def _within(x: int, band: list[int]) -> bool:
     return band[0] <= x <= band[1]
 
 
+_Record = tuple[bool, Any, Any, dict[str, Any] | None]
+
+
 def _record(relation: Callable[[Any, Any], bool], lhs: Any, rhs: Any,
-            extra: dict[str, Any] | None = None) -> tuple[bool, Any, Any, dict[str, Any] | None]:
+            extra: dict[str, Any] | None = None) -> _Record:
     return relation(lhs, rhs), lhs, rhs, extra
 
 
-# One row per claim, in catalog order: the claim's records (holds, lhs, rhs, witness
-# entries or None) on one graph's facts, one per hedge, edge, pair or order where the
-# claim is per item.  Rows call package functions by their module names when they run
-# and store none, so what replaces hedgecut.audit.<name> (a test, a tracer) sees every call.
-_CLAIMS: dict[TheoremId, Callable[[_Facts], list[tuple[bool, Any, Any, dict[str, Any] | None]]]] = {
-    TheoremId.T1_MIN_DEG_BOUND: lambda f: [_record(le, f.lam, f.delta)],
-    TheoremId.T2_RELABEL_GE_MAXDEG: lambda f: [_record(ge, f.q, f.big_delta, f.q_witness)],
-    TheoremId.T3_DA_LE_TOTAL: lambda f: [_record(le, len(nbrs), total, {"hedge": name})
-                                         for nbrs, total, name in zip(f.adj, f.totals, f.g.labels)],
-    TheoremId.T4_MAXDA_GE_MAXDEG: lambda f: [_record(ge, f.max_da, f.big_delta)],
-    TheoremId.T5_RELABEL_GE_MAXDA: lambda f: [_record(ge, f.q, f.max_da, f.q_witness)],
-    TheoremId.VIZING_BAND: lambda f: [_record(_within, f.q, [f.max_da, f.max_da + 1], f.q_witness)],
+class _Claim(NamedTuple):
+    """One claim: ``record(f, item)`` is one item's (holds, lhs, rhs, witness entries
+    or None), ``items(f)`` every item in verdict order, and ``named(f, witness)`` the
+    item a record's witness names, or none.  A claim with one record has one item."""
+
+    record: Callable[[_Facts, Any], _Record]
+    items: Callable[[_Facts], Iterable[Any]] = lambda f: [None]
+    named: Callable[[_Facts, dict[str, Any]], Iterable[Any]] = lambda f, witness: [None]
+
+
+def _ids(f: _Facts, name: Any) -> list[int]:
+    """The label id of the hedge ``name`` names, or none; == never raises on a JSON value."""
+    return [i for i, label in enumerate(f.g.labels) if label == name]
+
+
+def _edge_band(f: _Facts, idx: int) -> _Record:
+    """Contracting non-loop edge idx = (u, v) leaves its merged vertex a degree in
+    [max(d(u), d(v)) - 1, d(u) + d(v) - 2]."""
+    u, v, _ = f.g.edges[idx]
+    du, dv = f.degrees[u], f.degrees[v]
+    return _record(_within, f.degrees_of(*_contract_edge(f.g, idx))[min(u, v)], [max(du, dv) - 1, du + dv - 2],
+                   {"edge": idx})
+
+
+def _adjacency_after(f: _Facts, pair: tuple[int, int]) -> _Record:
+    """Contracting hedge i predicts hedge j's adjacency degree from the greedy q."""
+    i, j = pair
+    predicted = len(f.adj[j]) + (len(f.adj[i]) - f.greedy_q + 1 if j in f.adj[i] else 0)
+    return _record(eq, len(f.adj_after(i)[j]), predicted,
+                   {"contracted": f.g.labels[i], "hedge": f.g.labels[j], "q": f.greedy_q})
+
+
+# the items, and the item a witness names, of the per-hedge and the per-order claims
+_HEDGES = (lambda f: range(f.g.num_labels), lambda f, w: _ids(f, w.get("hedge")))
+_ORDERS = (lambda f: f.orders, lambda f, w: [o for o in f.orders if list(o) == w.get("order")])
+
+# One row per claim, in catalog order.  An item's witness entries name it, so a
+# witness names at most one item; one that matches an item only under == (an edge
+# 1.0 for 1) gets a record whose witness _same tells apart.  Rows call package
+# functions by their module names when they run and store none, so what replaces
+# hedgecut.audit.<name> (a test, a tracer) sees every call.
+_CLAIMS: dict[TheoremId, _Claim] = {
+    TheoremId.T1_MIN_DEG_BOUND: _Claim(lambda f, _: _record(le, f.lam, f.delta)),
+    TheoremId.T2_RELABEL_GE_MAXDEG: _Claim(lambda f, _: _record(ge, f.q, f.big_delta, f.q_witness)),
+    TheoremId.T3_DA_LE_TOTAL: _Claim(lambda f, i: _record(le, len(f.adj[i]), f.totals[i],
+                                                          {"hedge": f.g.labels[i]}), *_HEDGES),
+    TheoremId.T4_MAXDA_GE_MAXDEG: _Claim(lambda f, _: _record(ge, f.max_da, f.big_delta)),
+    TheoremId.T5_RELABEL_GE_MAXDA: _Claim(lambda f, _: _record(ge, f.q, f.max_da, f.q_witness)),
+    TheoremId.VIZING_BAND: _Claim(lambda f, _: _record(_within, f.q, [f.max_da, f.max_da + 1], f.q_witness)),
     # the chain lambda <= delta <= Delta <= max_dA <= q holds when it is already sorted
-    TheoremId.COROLLARY_CHAIN: lambda f: [(chain == sorted(chain), chain, None, f.q_witness)
-                                          for chain in [[f.lam, f.delta, f.big_delta, f.max_da, f.q]]],
-    TheoremId.RANKSUM_STATIC: lambda f: [_record(eq, f.rank_nullity[0], sum(v.rank for v in f.views))],
-    TheoremId.RANKSUM_SEQ: lambda f: [_record(eq, f.rank_nullity[0], rank, {"order": list(order)})
-                                      for order, (rank, _) in f.sequences],
-    TheoremId.NULLSUM_STATIC: lambda f: [_record(eq, f.rank_nullity[1], sum(v.nullity for v in f.views))],
-    TheoremId.NULLSUM_SEQ: lambda f: [_record(eq, f.rank_nullity[1], nullity, {"order": list(order)})
-                                      for order, (_, nullity) in f.sequences],
-    TheoremId.VD_EQUALITY: lambda f: [_record(eq, sum(len(v.vertex_set) for v in f.views), sum(f.degrees))],
-    TheoremId.SPANSUM_UPPER: lambda f: [_record(le, f.span_sum, 2 * f.g.m - f.g.n + 1)],
-    TheoremId.SPANSUM_BAND: lambda f: [_record(_within, f.span_sum, [f.g.n * f.delta - f.g.n + 1,
-                                                                     f.g.n * f.big_delta - f.g.n + 1])],
-    TheoremId.CONTRACTV_BAND: lambda f: [
-        _record(_within, f.degrees_of(*_contract_edge(f.g, idx))[min(u, v)],
-                [max(f.degrees[u], f.degrees[v]) - 1, f.degrees[u] + f.degrees[v] - 2], {"edge": idx})
-        for idx, (u, v, _) in enumerate(f.g.edges) if u != v],
-    TheoremId.CONTRACT_MIN: lambda f: [_record(ge, min(after), f.delta - 1, {"hedge": name})
-                                       for after, name in zip(f.after, f.g.labels)],
-    TheoremId.CONTRACT_H: lambda f: [_record(le, sum(after), sum(f.degrees) - 2 * view.rank, {"hedge": name})
-                                     for view, after, name in zip(f.views, f.after, f.g.labels)],
-    TheoremId.CONTRACT_SUM: lambda f: [
-        _record(le, sum(f.degrees), sum(after) + total - view.span * (f.delta - 1), {"hedge": name})
-        for view, after, total, name in zip(f.views, f.after, f.totals, f.g.labels)],
-    # contracting hedge i predicts each other hedge j's adjacency degree from the greedy q
-    TheoremId.CONTRACT_ADJ: lambda f: [
-        _record(eq, len(adj_after[j]), len(f.adj[j]) + (len(f.adj[i]) - f.greedy_q + 1 if j in f.adj[i] else 0),
-                {"contracted": f.g.labels[i], "hedge": f.g.labels[j], "q": f.greedy_q})
-        for i in range(f.g.num_labels)
-        for adj_after in [_adjacency_of(f.g.num_labels, _vertex_label_sets(*_contract(f.g, i)))]
-        for j in range(f.g.num_labels) if j != i],
+    TheoremId.COROLLARY_CHAIN: _Claim(lambda f, _: _record(lambda chain, _: chain == sorted(chain),
+                                                           [f.lam, f.delta, f.big_delta, f.max_da, f.q],
+                                                           None, f.q_witness)),
+    TheoremId.RANKSUM_STATIC: _Claim(lambda f, _: _record(eq, f.rank_nullity[0], sum(v.rank for v in f.views))),
+    TheoremId.RANKSUM_SEQ: _Claim(lambda f, order: _record(eq, f.rank_nullity[0], f.sums(order)[0],
+                                                           {"order": list(order)}), *_ORDERS),
+    TheoremId.NULLSUM_STATIC: _Claim(lambda f, _: _record(eq, f.rank_nullity[1],
+                                                          sum(v.nullity for v in f.views))),
+    TheoremId.NULLSUM_SEQ: _Claim(lambda f, order: _record(eq, f.rank_nullity[1], f.sums(order)[1],
+                                                           {"order": list(order)}), *_ORDERS),
+    TheoremId.VD_EQUALITY: _Claim(lambda f, _: _record(eq, sum(len(v.vertex_set) for v in f.views),
+                                                       sum(f.degrees))),
+    TheoremId.SPANSUM_UPPER: _Claim(lambda f, _: _record(le, f.span_sum, 2 * f.g.m - f.g.n + 1)),
+    TheoremId.SPANSUM_BAND: _Claim(lambda f, _: _record(
+        _within, f.span_sum, [f.g.n * f.delta - f.g.n + 1, f.g.n * f.big_delta - f.g.n + 1])),
+    TheoremId.CONTRACTV_BAND: _Claim(
+        _edge_band, lambda f: [idx for idx, (u, v, _) in enumerate(f.g.edges) if u != v],
+        lambda f, w: [idx for idx, (u, v, _) in enumerate(f.g.edges) if idx == w.get("edge") and u != v]),
+    TheoremId.CONTRACT_MIN: _Claim(lambda f, i: _record(ge, min(f.after(i)), f.delta - 1,
+                                                        {"hedge": f.g.labels[i]}), *_HEDGES),
+    TheoremId.CONTRACT_H: _Claim(lambda f, i: _record(le, sum(f.after(i)), sum(f.degrees) - 2 * f.views[i].rank,
+                                                      {"hedge": f.g.labels[i]}), *_HEDGES),
+    TheoremId.CONTRACT_SUM: _Claim(lambda f, i: _record(
+        le, sum(f.degrees), sum(f.after(i)) + f.totals[i] - f.views[i].span * (f.delta - 1),
+        {"hedge": f.g.labels[i]}), *_HEDGES),
+    TheoremId.CONTRACT_ADJ: _Claim(
+        _adjacency_after, lambda f: permutations(range(f.g.num_labels), 2),
+        lambda f, w: [(i, j) for i in _ids(f, w.get("contracted")) for j in _ids(f, w.get("hedge")) if i != j]),
 }
+
+
+def _verdicts(theorem: TheoremId, f: _Facts, items: Iterable[Any]) -> list[AuditVerdict]:
+    """The claim's verdicts on ``items``, each witness with the non-default modes."""
+    return [AuditVerdict(theorem, f.text, f.digest, holds, lhs, rhs, {**f.modes, **(extra or {})} or None)
+            for holds, lhs, rhs, extra in map(_CLAIMS[theorem].record, repeat(f), items)]
 
 
 # The last graph audited, its modes and its facts, read and stored as one tuple;
@@ -292,24 +358,35 @@ def audit_theorem(theorem: TheoremId, g: HedgeGraph, *, count_loops: bool = True
         f = _Facts(g, count_loops, induced_degrees)
         _last = (g, (count_loops, induced_degrees), f)
     theorem = TheoremId(theorem)
-    return [AuditVerdict(theorem, f.text, f.digest, holds, lhs, rhs, {**f.modes, **(extra or {})} or None)
-            for holds, lhs, rhs, extra in _CLAIMS[theorem](f)]
+    return _verdicts(theorem, f, _CLAIMS[theorem].items(f))
 
 
 # json.dumps with options builds a new encoder on every call; one serves every field
 _json = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
 
 
+def _value(x: Any) -> str:
+    """One field's compact JSON; an int (not a bool: str(True) is not true) or None directly."""
+    return str(x) if type(x) is int else "null" if x is None else _json(x)
+
+
+def _header(theorem: TheoremId, holds: bool, lhs: Any, rhs: Any, witness: Any, digest: str) -> str:
+    return (f"verdict theorem={theorem.value} holds={'true' if holds else 'false'} "
+            f"lhs={_value(lhs)} rhs={_value(rhs)} witness={_value(witness)} digest={digest}")
+
+
 def format_verdict(v: AuditVerdict) -> str:
     """Frozen line-oriented record: one header line plus the instance block."""
-    header = (f"verdict theorem={v.theorem.value} holds={'true' if v.holds else 'false'} "
-              f"lhs={_json(v.lhs)} rhs={_json(v.rhs)} witness={_json(v.witness)} "
-              f"digest={v.digest}")
+    header = _header(v.theorem, v.holds, v.lhs, v.rhs, v.witness, v.digest)
     return f"{header}\ninstance-begin\n{v.instance_text}instance-end\n"
 
 
 def parse_verdict(text: str) -> AuditVerdict:
-    """Inverse of format_verdict; raises ParseError on malformed records."""
+    """Inverse of format_verdict; raises ParseError on malformed records.
+
+    The header must be the one format_verdict writes for the decoded values:
+    same field order, single spaces, compact JSON with sorted keys.
+    """
     lines = text.split("\n")  # as in HG1 text, only "\n" ends a line
     if not lines[0].startswith("verdict "):
         raise ParseError(1, "expected a 'verdict ...' header line")
@@ -336,6 +413,9 @@ def parse_verdict(text: str) -> AuditVerdict:
         witness = json.loads(fields["witness"])
     except (json.JSONDecodeError, RecursionError):  # RecursionError: nesting too deep to decode
         raise ParseError(1, "lhs/rhs/witness must be valid JSON") from None
+    holds = fields["holds"] == "true"
+    if _header(theorem, holds, lhs, rhs, witness, fields["digest"]) != lines[0]:
+        raise ParseError(1, "header is not as format_verdict writes it (field order, spacing or JSON form)")
     if len(lines) < 2 or lines[1] != "instance-begin":
         raise ParseError(2, "expected 'instance-begin'")
     try:
@@ -343,15 +423,16 @@ def parse_verdict(text: str) -> AuditVerdict:
     except ValueError:
         raise ParseError(len(lines) - (lines[-1] == ""), "missing 'instance-end'") from None
     instance_text = "\n".join(lines[2:end]) + "\n"
-    return AuditVerdict(theorem, instance_text, fields["digest"], fields["holds"] == "true",
-                        lhs, rhs, witness)
+    return AuditVerdict(theorem, instance_text, fields["digest"], holds, lhs, rhs, witness)
 
 
 def verify_certificate(v: AuditVerdict) -> bool:
     """Recompute a verdict from its serialized instance and confirm it.
 
-    Returns False when the digest does not match the instance text or
-    when no freshly computed verdict agrees on (holds, lhs, rhs,
+    Only the item the witness names (hedge, edge, contracted and hedge, or
+    order) is recomputed, on a graph parsed afresh.  Returns False when the
+    digest does not match the instance text, when the witness names no item
+    of the claim, or when the fresh verdict disagrees on (holds, lhs, rhs,
     witness), JSON types included: ``1.0`` and ``true`` are not ``1``.
     Malformed instance text raises ParseError.
     """
@@ -360,10 +441,11 @@ def verify_certificate(v: AuditVerdict) -> bool:
     g = parse(v.instance_text)
     witness = v.witness if isinstance(v.witness, dict) else {}
     try:
-        fresh = audit_theorem(v.theorem, g, count_loops=witness.get("count_loops") is not False,
-                              induced_degrees=witness.get("induced_degrees") is True)
+        facts = _Facts(g, witness.get("count_loops") is not False, witness.get("induced_degrees") is True)
     except GraphError:
         return False
+    theorem = TheoremId(v.theorem)
+    fresh = _verdicts(theorem, facts, _CLAIMS[theorem].named(facts, witness))
     return any(f.holds == v.holds and f.lhs == v.lhs and f.rhs == v.rhs and f.witness == v.witness
                and _same([f.holds, f.lhs, f.rhs, f.witness], [v.holds, v.lhs, v.rhs, v.witness])
                for f in fresh)

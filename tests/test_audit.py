@@ -664,6 +664,130 @@ def test_mutated_records_verify_exactly_when_genuine(name):
     assert {"parse error", True, False} <= set(outcomes)
 
 
+def _reference_verify(v):
+    """The replay before it was targeted: audit the whole claim, then look for a matching verdict."""
+    if instance_digest(v.instance_text) != v.digest:
+        return False
+    g = parse(v.instance_text)
+    witness = v.witness if isinstance(v.witness, dict) else {}
+    try:
+        fresh = audit_theorem(v.theorem, g, count_loops=witness.get("count_loops") is not False,
+                              induced_degrees=witness.get("induced_degrees") is True)
+    except GraphError:
+        return False
+    return any(f.holds == v.holds and f.lhs == v.lhs and f.rhs == v.rhs and f.witness == v.witness
+               and hedgecut.audit._same([f.holds, f.lhs, f.rhs, f.witness], [v.holds, v.lhs, v.rhs, v.witness])
+               for f in fresh)
+
+
+RECHECK_POOL = Path(__file__).resolve().parent.parent / "bench" / "data" / "recheck.json"
+
+
+def test_targeted_replay_agrees_on_committed_records():
+    pool = json.loads(RECHECK_POOL.read_text(encoding="ascii"))
+    texts = [f"{header}\ninstance-begin\n{pool['instances'][i]['text']}instance-end\n"
+             for i, header in pool["records"]]
+    assert len(texts) == 846
+    for text in texts:
+        record = parse_verdict(text)
+        assert format_verdict(record) == text
+        assert verify_certificate(record) is _reference_verify(record) is True, text.split("\n", 1)[0]
+
+
+def _witness_mutations(v, g, rng):
+    """Witnesses that name a wrong, malformed or unhashable item of the record's claim, or none."""
+    w, labels = v.witness or {}, list(g.labels)
+    out = [None, [1, 2], [w], {**w, "x": 1}, {k: w[k] for k in list(w)[1:]}]
+    if "hedge" in w:
+        i = labels.index(w["hedge"])
+        out += [{**w, "hedge": h} for h in ("zz", i, [w["hedge"]], {"a": 1}, rng.choice(labels))]
+    if "contracted" in w:
+        out += [{**w, "contracted": w["hedge"]}, {**w, "contracted": [w["contracted"]]},
+                {**w, "contracted": w["hedge"], "hedge": w["contracted"]}]
+    if "edge" in w:
+        out += [{**w, "edge": e} for e in (-1, g.m, True, 1.0, [w["edge"]], rng.randrange(g.m))]
+    if "order" in w:
+        order = list(w["order"])
+        shuffled = rng.sample(labels, len(labels))
+        out += [{**w, "order": o} for o in (order[::-1], order[1:] + order[:1], shuffled, tuple(order),
+                                             [order], order + order[:1], {"a": order})]
+    return out
+
+
+@pytest.mark.parametrize("name", ["c4alt", "p3", "pendants", "spider", "triangle3", "twoi"])
+def test_targeted_replay_agrees_with_a_whole_claim_replay(name):
+    # every witness that names another, a malformed or no item gets the answer a whole-claim replay gives
+    g, rng = _golden_graph(name), random.Random(name)
+    outcomes = set()
+    for mode in ALL_MODES:
+        for theorem in TheoremId:
+            for v in audit_theorem(theorem, g, **mode):
+                cases = [v, dataclasses.replace(v, holds=not v.holds)]
+                cases += [dataclasses.replace(v, witness=w) for w in _witness_mutations(v, g, rng)]
+                for case in cases:
+                    got = verify_certificate(case)
+                    assert got is _reference_verify(case), (theorem, case.witness)
+                    outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("name", sorted({name for name, _ in AUDIT_BYTES}))
+def test_each_item_is_named_by_its_own_witness_only(name):
+    # HG1 text has no loop, so no replay meets one; the contracted graph has them
+    g = _golden_graph(name)
+    loops = [k for k, (u, v, _) in enumerate(g.edges) if u == v]
+    assert (name == "contracted") == bool(loops)
+    for mode in ALL_MODES:
+        f = hedgecut.audit._Facts(g, **mode)
+        for theorem, claim in hedgecut.audit._CLAIMS.items():
+            items = list(claim.items(f))
+            witnesses = [v.witness or {} for v in audit_theorem(theorem, g, **mode)]
+            assert [list(claim.named(f, w)) for w in witnesses] == [[item] for item in items]
+            assert all(not claim.named(f, {"edge": k}) for k in loops if theorem is TheoremId.CONTRACTV_BAND)
+
+
+def test_a_replay_recomputes_only_the_named_item(monkeypatch):
+    # the whole claim contracts each hedge or edge, or runs each order; a replay does it once
+    counts = dict.fromkeys(("_contract", "_contract_edge", "contraction_sequence"), 0)
+    for name in counts:
+        def counted(*args, _fn=getattr(hedgecut.audit, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(hedgecut.audit, name, counted)
+    g = _golden_graph("pendants")
+    for theorem, counter in ((TheoremId.CONTRACT_ADJ, "_contract"), (TheoremId.CONTRACTV_BAND, "_contract_edge"),
+                             (TheoremId.RANKSUM_SEQ, "contraction_sequence"),
+                             (TheoremId.NULLSUM_SEQ, "contraction_sequence")):
+        verdicts = audit_theorem(theorem, dataclasses.replace(g))
+        assert len(verdicts) > 1 and counts[counter] > 1
+        for v in verdicts:
+            counts.update(dict.fromkeys(counts, 0))
+            assert verify_certificate(parse_verdict(format_verdict(v)))
+            assert counts == {**dict.fromkeys(counts, 0), counter: 1}
+
+
+def test_parse_refuses_a_header_format_verdict_would_not_write(p3):
+    text = format_verdict(audit_theorem(TheoremId.CONTRACT_ADJ, _golden_graph("pendants"))[0])
+    header, rest = text.split("\n", 1)
+    q = parse_verdict(text).witness["q"]
+    assert f'witness={{"contracted":"i","hedge":"a","q":{q}}}' in header
+    fields, lhs = header.split(" "), parse_verdict(text).lhs
+    variants = [" ".join(fields[:2] + fields[3:4] + fields[2:3] + fields[4:]),  # two fields swapped
+                header.replace(" ", "  ", 1), header + " ", "\t".join(header.rsplit(" ", 1)), header + "\r",
+                header.replace('"contracted":"i","hedge":"a"', '"hedge":"a","contracted":"i"'),
+                header.replace('"contracted":"i"', '"contracted":"\\u0069"'),
+                header.replace(f'"q":{q}}}', f'"q":{q}.0e0}}'), header.replace(f" lhs={lhs} ", f" lhs={lhs}e0 "),
+                header.replace(f" lhs={lhs} ", " lhs=-0 ")]
+    for variant in variants:
+        with pytest.raises(ParseError, match="header is not as format_verdict writes it") as info:
+            parse_verdict(f"{variant}\n{rest}")
+        assert info.value.line == 1
+    # ints and None are written directly, a bool still as JSON
+    v = dataclasses.replace(audit_theorem(TheoremId.VD_EQUALITY, p3)[0], lhs=True, rhs=None, witness={"k": 0})
+    assert format_verdict(v).startswith("verdict theorem=VD_EQUALITY holds=true lhs=true rhs=null witness={\"k\":0} ")
+    assert parse_verdict(format_verdict(v)) == v
+
+
 class TestGenerator:
     def test_deterministic(self):
         params = GeneratorParams(seed=5)

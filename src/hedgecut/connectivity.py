@@ -16,9 +16,14 @@ once per graph: for every label, a spanning forest of its non-loop edges
 as ``(u, v)`` pairs over the original vertices.  Which vertices a set of
 hedges connects depends only on these forests, so each subset test is
 one pass of the package's union-find (``graph._join``) over the kept
-forests; no loop rebuilds a graph.  Every kernel returns only cut labels,
-and ``_certificate`` builds every certificate from the edges alone: side_a
-is vertex 0's class, 0, in ``graph._merge`` of the edges the cut keeps.
+forests; no loop rebuilds a graph.  A hedge cut contains a label of
+every spanning label set, so enumeration records the spanning sets its
+passes find (up to two disjoint ones per test) in a per-label bit index
+and skips, with one int AND, each subset that avoids one of them.  Every
+kernel returns only cut labels, and ``_certificate`` builds every
+certificate from the edges alone: side_a is vertex 0's class, 0, in
+``graph._merge`` of the edges the cut keeps.  ``cap``, the label count
+up to which enumeration runs, must be an int (not a bool).
 """
 
 from __future__ import annotations
@@ -95,6 +100,11 @@ def _certificate(g: HedgeGraph, labels: frozenset[int], method: str, exact: bool
     return CutCertificate(labels, side_a, frozenset(range(g.n)) - side_a, method, exact)
 
 
+def _check_cap(cap: int) -> None:
+    if type(cap) is not int:  # a bool is no cap
+        raise GraphError(f"enumeration cap must be an int, not {cap!r}")
+
+
 def _connected(g: HedgeGraph) -> bool:
     """Entry guard of every connectivity function: is_connected(g), for n >= 2 only."""
     if g.n < 2:
@@ -126,30 +136,49 @@ def brute_force_connectivity(g: HedgeGraph, cap: int = 20) -> CutCertificate:
 
     A subset is tested by one union-find pass over the forests of the
     labels it keeps, largest forests first.  When the kept labels connect
-    the graph, the labels whose edges did the merging hold a spanning
-    tree, and a later subset that avoids all of them is skipped untested.
+    the graph, the labels whose edges did the merging span it, and a
+    second pass without them and the subset looks for a disjoint spanning
+    set; each set found is recorded.  A hedge cut contains a label of
+    every spanning set, so a subset that avoids a recorded set is skipped
+    untested.  ``holds[lab]`` has bit j set when set j contains ``lab``:
+    each prefix of the first k - 1 labels keeps ``free``, the sets that
+    avoid it, and a last label ``c`` is skipped when ``free & ~holds[c]``
+    is non-zero, one int AND per candidate.
     """
+    _check_cap(cap)
     if not _connected(g):
         return _certificate(g, frozenset(), "brute", True)
-    if g.num_labels > cap:
-        raise GraphError(f"label count {g.num_labels} exceeds the enumeration cap {cap}")
+    num = g.num_labels
+    if num > cap:
+        raise GraphError(f"label count {num} exceeds the enumeration cap {cap}")
     bound = min(len(s) for s in _vertex_label_sets(g.n, g.edges))
     forests = _hedge_forests(g)
-    big_first = sorted(range(g.num_labels), key=lambda lab: -len(forests[lab]))
-    spanning: list[int] = []  # label masks of spanning trees found, newest first
+    big_first = sorted(range(num), key=lambda lab: -len(forests[lab]))
+    holds = [0] * num  # bit j set when spanning set j contains the label
+    found = 0  # spanning sets recorded
     for k in range(1, bound + 1):
-        for combo in itertools.combinations(range(g.num_labels), k):
-            mask = 0
-            for lab in combo:
-                mask |= 1 << lab
-            for tree in spanning:
-                if not tree & mask:
-                    break  # this spanning tree survives the removal
-            else:
+        for prefix in itertools.combinations(range(num - 1), k - 1):
+            free, pmask = (1 << found) - 1, 0  # free: the recorded sets that avoid the prefix
+            for p in prefix:
+                free &= ~holds[p]
+                pmask |= 1 << p
+            for c in range(prefix[-1] + 1 if prefix else 0, num):
+                if free & ~holds[c]:
+                    continue  # a recorded spanning set survives the removal
+                combo = prefix + (c,)
                 _, parts, used = _join(g.n, forests, combo, big_first)
                 if parts > 1:
                     return _certificate(g, frozenset(combo), "brute", True)
-                spanning.insert(0, used)
+                gone = pmask | 1 << c | used
+                _, parts, other = _join(g.n, forests, (),
+                                        [lab for lab in big_first if not gone >> lab & 1])
+                for mask in (used, other) if parts == 1 else (used,):
+                    while mask:  # both sets avoid the prefix, so both are free
+                        low = mask & -mask
+                        holds[low.bit_length() - 1] |= 1 << found
+                        mask ^= low
+                    free |= 1 << found
+                    found += 1
     raise AssertionError("no cut found within the degree bound")
 
 
@@ -375,6 +404,7 @@ def hedge_connectivity(g: HedgeGraph, method: str = "auto", cap: int = 20,
     most ``cap`` labels go to brute force; anything else gets randomized
     trials (not exact).
     """
+    _check_cap(cap)
     if method == "brute":
         return brute_force_connectivity(g, cap)
     connected = _connected(g)

@@ -1,9 +1,11 @@
 import heapq
 import itertools
+import json
 import random
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,7 @@ from hedgecut import (
     is_connected,
     min_label_degree_bound,
     ordinary_edge_min_cut,
+    parse,
     random_instance,
     randomized_connectivity,
     randomized_contraction_cut,
@@ -32,6 +35,7 @@ from hedgecut import (
 )
 from hedgecut.rng import Rng, mix
 from conftest import singleton_label_graphs
+from test_oracle import FAMILIES
 
 
 @pytest.fixture
@@ -110,6 +114,21 @@ class TestBruteForce:
     def test_single_vertex_rejected(self):
         with pytest.raises(GraphError, match="single vertex"):
             brute_force_connectivity(build_graph(1, []))
+
+    @pytest.mark.parametrize("cap", [True, False, 2.5, 20.0, None, "3"])
+    @pytest.mark.parametrize("call", [
+        brute_force_connectivity,
+        hedge_connectivity,
+        lambda g, cap: hedge_connectivity(g, method="brute", cap=cap),
+        lambda g, cap: hedge_connectivity(g, method="random", cap=cap),
+    ], ids=["brute", "auto", "forced_brute", "forced_random"])
+    def test_cap_must_be_an_int(self, call, cap, c4alt):
+        # unchecked, cap=True would mean 1 and send a 2-label graph to trials, 2.5
+        # would be compared with the label count and None or "3" raise TypeError;
+        # the cap is checked first, so even a single vertex gets the cap message
+        for g in (c4alt, build_graph(1, [])):
+            with pytest.raises(GraphError, match=r"^enumeration cap must be an int, not "):
+                call(g, cap=cap)
 
     def test_never_exceeds_degree_bound(self, c4alt, triangle, p3, spider, twoi, pendants):
         for g in (c4alt, triangle, p3, spider, twoi, pendants):
@@ -477,6 +496,109 @@ def test_trial_retires_spanning_hedges_and_builds_fewer_forests(monkeypatch):
     assert cuts == ref_cuts
     assert calls < ref_calls, (calls, ref_calls)
     assert 0 < retired < ref_spanning, (retired, ref_spanning)
+
+
+def _reference_brute(g):
+    """Subset enumeration as it was before the label index: every subset builds its
+    label mask and scans the spanning sets found so far, and only the labels that
+    merged in a test are recorded.  It calls ``connectivity._join`` so a wrapper sees
+    both kernels."""
+    if not is_connected(g):
+        return connectivity._certificate(g, frozenset(), "brute", True)
+    bound = min_label_degree_bound(g)
+    forests = connectivity._hedge_forests(g)
+    big_first = sorted(range(g.num_labels), key=lambda lab: -len(forests[lab]))
+    spanning = []
+    for k in range(1, bound + 1):
+        for combo in itertools.combinations(range(g.num_labels), k):
+            mask = 0
+            for lab in combo:
+                mask |= 1 << lab
+            for tree in spanning:
+                if not tree & mask:
+                    break
+            else:
+                _, parts, used = connectivity._join(g.n, forests, combo, big_first)
+                if parts > 1:
+                    return connectivity._certificate(g, frozenset(combo), "brute", True)
+                spanning.insert(0, used)
+
+
+EXACT_POOL = Path(__file__).resolve().parent.parent / "bench" / "data" / "exact.json"
+
+
+def test_enumeration_matches_reference_kernel(c4alt, triangle, p3, spider, twoi, pendants,
+                                              single_label_path, disconnected, k2):
+    # the label index and the second spanning set skip more subsets but test the
+    # rest in the same order, so every certificate is the reference's
+    graphs = [c4alt, triangle, p3, spider, twoi, pendants, single_label_path, disconnected, k2]
+    graphs += singleton_label_graphs()
+    graphs += [random_instance(GeneratorParams(*family, seed=1000 * f + seed))
+               for f, family in enumerate(FAMILIES) for seed in range(40)]
+    pool = [parse(inst["text"]) for inst in json.loads(EXACT_POOL.read_text(encoding="ascii"))["instances"]]
+    enumerated = [g for g in pool if g.num_labels != g.m]
+    assert len(enumerated) == 80
+    graphs += enumerated
+    random_graphs = [random_instance(GeneratorParams(*params, seed=seed))
+                     for params in (((2, 11), (0, 55), (1, 18)), ((8, 11), (30, 55), (12, 18)))
+                     for seed in range(200)]
+    graphs += random_graphs
+    certs = [brute_force_connectivity(g, cap=g.num_labels) for g in graphs]
+    assert certs == [_reference_brute(g) for g in graphs]
+    sizes = {cert.size for cert in certs[-len(random_graphs):]}
+    assert sizes == set(range(1, 8)), sizes
+    assert max(g.num_labels for g in random_graphs) == 18
+
+
+def _planted(seed, trees, cross):
+    """Two halves of 7 vertices, each ``trees`` random spanning trees of one label
+    apiece, joined by ``cross`` labels of 1-2 edges: those labels are the cut.
+    Trees may share edges, so labels may run parallel."""
+    rng = random.Random(seed)
+    verts = list(range(14))
+    rng.shuffle(verts)
+    halves = [verts[:7], verts[7:]]
+    edges = []
+    for h, half in enumerate(halves):
+        for t in range(trees):
+            order = rng.sample(half, len(half))
+            edges += [(order[rng.randrange(i)], order[i], h * trees + t) for i in range(1, len(order))]
+    for c in range(cross):
+        edges += [(rng.choice(halves[0]), rng.choice(halves[1]), 2 * trees + c)
+                  for _ in range(rng.randint(1, 2))]
+    return HedgeGraph(14, tuple(edges), tuple(f"l{lab}" for lab in range(2 * trees + cross)))
+
+
+def test_enumeration_records_disjoint_spanning_sets_and_tests_fewer(monkeypatch):
+    # a second pass without the subset and the labels that merged finds a disjoint
+    # spanning set, so fewer subsets are tested; a set is recorded only when its pass
+    # left one class, so each recorded set alone connects the graph
+    g = _planted(4, trees=5, cross=4)
+    passes, recorded = [], []
+    join = connectivity._join
+
+    def counted(n, forests, removed, order=None):
+        result = join(n, forests, removed, order)
+        passes.append((tuple(removed), result[1]))
+        caller = sys._getframe(1).f_locals
+        if "holds" in caller:
+            recorded[:] = [sum(1 << lab for lab, bits in enumerate(caller["holds"]) if bits >> j & 1)
+                           for j in range(caller["found"])]
+        return result
+
+    monkeypatch.setattr(connectivity, "_join", counted)
+    ref = _reference_brute(g)
+    ref_passes = len(passes)
+    passes.clear()
+    cert = brute_force_connectivity(g)
+    assert cert == ref and cert.size == 4
+    assert len(passes) < ref_passes, (len(passes), ref_passes)
+    second = [parts for removed, parts in passes if removed == ()]
+    assert 1 in second and any(parts > 1 for parts in second), second
+    assert len(recorded) == sum(parts == 1 for _, parts in passes)
+    for mask in recorded:
+        others = [lab for lab in range(g.num_labels) if not mask >> lab & 1]
+        assert is_connected(remove_hedges(g, others)), bin(mask)
 
 
 class TestDispatch:

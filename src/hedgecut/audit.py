@@ -1,25 +1,25 @@
 """Executable adjudication of the structural claims about hedge graphs.
 
-Each claim gets an identifier and one row of ``_CLAIMS`` that computes both
-sides of the stated relation on a concrete instance, giving verdicts that
-carry the full instance serialization and a digest, so any verdict can
-be re-checked from scratch.  A seeded generator and counterexample
-search adjudicate claims that are expected to fail; the set of claims
-that provably hold on every connected instance is exported so callers
-can treat their violation as an internal error rather than a finding.
+Each claim gets an identifier and one row of ``_CLAIMS``: ``record`` computes
+both sides of the stated relation for one item (hedge, edge, pair or order,
+or the one item of a single-record claim) of a concrete instance, ``items``
+lists the items, ``key`` gives the witness entries that name an item, and
+``universal`` marks the claims that provably hold on every connected
+instance, exported as ``UNIVERSAL_IDS`` so callers can treat their violation
+as an internal error rather than a finding.  Verdicts carry the full instance
+serialization and a digest, so any verdict can be re-checked from scratch; a
+seeded generator and counterexample search adjudicate the other claims.
 
-Claims on one graph share its derived values (``_Facts``: views,
+Claims on one graph share its derived values (``_Facts``: text, digest, views,
 adjacency graph, colorings, lambda, ranks, and per hedge or order the
-contracted degrees and sequence sums), each computed on first read, so a
-lone claim computes only what it reads.  ``audit_theorem`` keeps the facts
-of the last graph object it audited, keyed by identity and degree modes,
-so ``audit --theorem all`` computes each value once.  A per-item claim
-(one record per hedge, edge, pair or order) gives one item's record at a
-time: ``audit_theorem`` asks for every item, ``verify_certificate`` only
-for the item its record's witness names.  A replay parses a new graph per
-record, so it starts cold, but computes only that item.  The contraction
-claims read edge lists (``contraction._contract``, ``_contract_edge``), so
-no claim builds a graph.
+contracted degrees and sequence sums), each computed on first read.
+``audit_theorem`` keeps the facts of the last graph object it audited, keyed
+by identity and degree modes, so ``audit --theorem all`` computes each value
+once.  ``verify_certificate`` parses a new graph per record, so it starts
+cold, but computes only the item whose key the witness holds, and emits the
+instance only for the order claims, whose orders are drawn from the digest of
+the emitted text.  The contraction claims read edge lists
+(``contraction._contract``, ``_contract_edge``), so no claim builds a graph.
 
 Degree conventions are explicit: by default a loop contributes its
 label to its vertex once, and hedge degree totals use degrees measured
@@ -36,9 +36,9 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
 from heapq import heapify, heappop, heappush
-from itertools import permutations, repeat
+from itertools import permutations
 from operator import eq, ge, le
-from typing import Any, Callable, Iterable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .adjacency import _adjacency_of, _greedy_colors, adjacency_graph
 from .connectivity import brute_force_connectivity
@@ -72,22 +72,6 @@ class TheoremId(str, Enum):
     CONTRACT_H = "CONTRACT_H"
     CONTRACT_SUM = "CONTRACT_SUM"
     CONTRACT_ADJ = "CONTRACT_ADJ"
-
-
-# Claims that hold on every connected instance under the default degree
-# conventions; a violation of one of these means the implementation is
-# broken, not that a claim was refuted.
-UNIVERSAL_IDS = frozenset({
-    TheoremId.T1_MIN_DEG_BOUND,
-    TheoremId.T2_RELABEL_GE_MAXDEG,
-    TheoremId.T3_DA_LE_TOTAL,
-    TheoremId.VD_EQUALITY,
-    TheoremId.SPANSUM_UPPER,
-    TheoremId.RANKSUM_SEQ,
-    TheoremId.NULLSUM_SEQ,
-    TheoremId.CONTRACT_MIN,
-    TheoremId.CONTRACT_SUM,
-})
 
 
 @dataclass(frozen=True, slots=True)
@@ -174,11 +158,11 @@ def _memo(fn: Callable[[_Facts, Any], Any]) -> Callable[[_Facts, Any], Any]:
 class _Facts:
     """The values several claims read of one connected graph in one degree mode.
 
-    Text, digest, modes and degrees are built at once, each ``_lazy`` value on its
-    first read and each ``_memo`` value on its first call with one hedge or order,
-    so a lone claim, or one item of it, computes only what it reads.  No shared
-    value is changed in place (verdicts get copies of the two witness dicts), so
-    no claim can change another's input.
+    Modes and degrees are built at once, each ``_lazy`` value (text and digest
+    included) on its first read and each ``_memo`` value on its first call with
+    one hedge or order, so a lone claim, or one item of it, computes only what it
+    reads.  No shared value is changed in place (verdicts get copies of the two
+    witness dicts), so no claim can change another's input.
     """
 
     def __init__(self, g: HedgeGraph, count_loops: bool, induced_degrees: bool):
@@ -186,8 +170,6 @@ class _Facts:
             raise GraphError("audit requires a connected instance with at least 2 vertices")
         self.g, self.count_loops, self.induced_degrees = g, count_loops, induced_degrees
         self.memo: dict[Any, Any] = {}
-        self.text = emit(g)
-        self.digest = instance_digest(self.text)
         # the non-default degree modes, which every witness records
         self.modes: dict[str, Any] = {} if count_loops else {"count_loops": False}
         if induced_degrees:
@@ -198,6 +180,8 @@ class _Facts:
     def degrees_of(self, n: int, edges: Sequence[Edge]) -> list[int]:
         return [len(s) for s in _vertex_label_sets(n, edges, self.count_loops)]
 
+    text = _lazy(lambda f: emit(f.g))
+    digest = _lazy(lambda f: instance_digest(f.text))
     views = _lazy(lambda f: tuple(_hedge_views(f.g)))
     span_sum = _lazy(lambda f: sum(v.span for v in f.views))
     adj = _lazy(lambda f: adjacency_graph(f.g))
@@ -253,18 +237,25 @@ def _record(relation: Callable[[Any, Any], bool], lhs: Any, rhs: Any,
 
 
 class _Claim(NamedTuple):
-    """One claim: ``record(f, item)`` is one item's (holds, lhs, rhs, witness entries
-    or None), ``items(f)`` every item in verdict order, and ``named(f, witness)`` the
-    item a record's witness names, or none.  A claim with one record has one item."""
+    """One claim: ``record(f, item)`` is one item's (holds, lhs, rhs, other witness
+    entries or None), ``items(f)`` every item in verdict order, ``key(f, item)`` the
+    witness entries naming the item (none for a claim's one item), and ``universal``
+    whether the claim holds on every connected instance in the default degree modes."""
 
     record: Callable[[_Facts, Any], _Record]
     items: Callable[[_Facts], Iterable[Any]] = lambda f: [None]
-    named: Callable[[_Facts, dict[str, Any]], Iterable[Any]] = lambda f, witness: [None]
+    key: Callable[[_Facts, Any], dict[str, Any]] = lambda f, item: {}
+    universal: bool = False
 
+    def records(self, f: _Facts, items: Iterable[Any]) -> Iterator[_Record]:
+        """Each item's record, its witness the non-default modes, the item's key and the row's entries."""
+        for item in items:
+            holds, lhs, rhs, extra = self.record(f, item)
+            yield holds, lhs, rhs, {**f.modes, **self.key(f, item), **(extra or {})} or None
 
-def _ids(f: _Facts, name: Any) -> list[int]:
-    """The label id of the hedge ``name`` names, or none; == never raises on a JSON value."""
-    return [i for i, label in enumerate(f.g.labels) if label == name]
+    def named(self, f: _Facts, witness: dict[str, Any]) -> list[Any]:
+        """The items whose key the witness holds; dict items compare values by ==, hashing none."""
+        return [item for item in self.items(f) if self.key(f, item).items() <= witness.items()]
 
 
 def _edge_band(f: _Facts, idx: int) -> _Record:
@@ -272,32 +263,31 @@ def _edge_band(f: _Facts, idx: int) -> _Record:
     [max(d(u), d(v)) - 1, d(u) + d(v) - 2]."""
     u, v, _ = f.g.edges[idx]
     du, dv = f.degrees[u], f.degrees[v]
-    return _record(_within, f.degrees_of(*_contract_edge(f.g, idx))[min(u, v)], [max(du, dv) - 1, du + dv - 2],
-                   {"edge": idx})
+    return _record(_within, f.degrees_of(*_contract_edge(f.g, idx))[min(u, v)], [max(du, dv) - 1, du + dv - 2])
 
 
 def _adjacency_after(f: _Facts, pair: tuple[int, int]) -> _Record:
     """Contracting hedge i predicts hedge j's adjacency degree from the greedy q."""
     i, j = pair
     predicted = len(f.adj[j]) + (len(f.adj[i]) - f.greedy_q + 1 if j in f.adj[i] else 0)
-    return _record(eq, len(f.adj_after(i)[j]), predicted,
-                   {"contracted": f.g.labels[i], "hedge": f.g.labels[j], "q": f.greedy_q})
+    return _record(eq, len(f.adj_after(i)[j]), predicted, {"q": f.greedy_q})
 
 
-# the items, and the item a witness names, of the per-hedge and the per-order claims
-_HEDGES = (lambda f: range(f.g.num_labels), lambda f, w: _ids(f, w.get("hedge")))
-_ORDERS = (lambda f: f.orders, lambda f, w: [o for o in f.orders if list(o) == w.get("order")])
+# the items and their keys of the per-hedge and the per-order claims
+_HEDGES = (lambda f: range(f.g.num_labels), lambda f, i: {"hedge": f.g.labels[i]})
+_ORDERS = (lambda f: f.orders, lambda f, order: {"order": list(order)})
 
-# One row per claim, in catalog order.  An item's witness entries name it, so a
-# witness names at most one item; one that matches an item only under == (an edge
-# 1.0 for 1) gets a record whose witness _same tells apart.  Rows call package
-# functions by their module names when they run and store none, so what replaces
-# hedgecut.audit.<name> (a test, a tracer) sees every call.
+# One row per claim, in catalog order: record, items, key, universal.  Keys differ
+# between items, so a witness names at most one item; one that matches an item only
+# under == (an edge 1.0 for 1) gets a record whose witness _same tells apart.  Rows
+# call package functions by their module names when they run and store none, so
+# what replaces hedgecut.audit.<name> (a test, a tracer) sees every call.
 _CLAIMS: dict[TheoremId, _Claim] = {
-    TheoremId.T1_MIN_DEG_BOUND: _Claim(lambda f, _: _record(le, f.lam, f.delta)),
-    TheoremId.T2_RELABEL_GE_MAXDEG: _Claim(lambda f, _: _record(ge, f.q, f.big_delta, f.q_witness)),
-    TheoremId.T3_DA_LE_TOTAL: _Claim(lambda f, i: _record(le, len(f.adj[i]), f.totals[i],
-                                                          {"hedge": f.g.labels[i]}), *_HEDGES),
+    TheoremId.T1_MIN_DEG_BOUND: _Claim(lambda f, _: _record(le, f.lam, f.delta), universal=True),
+    TheoremId.T2_RELABEL_GE_MAXDEG: _Claim(lambda f, _: _record(ge, f.q, f.big_delta, f.q_witness),
+                                           universal=True),
+    TheoremId.T3_DA_LE_TOTAL: _Claim(lambda f, i: _record(le, len(f.adj[i]), f.totals[i]), *_HEDGES,
+                                     universal=True),
     TheoremId.T4_MAXDA_GE_MAXDEG: _Claim(lambda f, _: _record(ge, f.max_da, f.big_delta)),
     TheoremId.T5_RELABEL_GE_MAXDA: _Claim(lambda f, _: _record(ge, f.q, f.max_da, f.q_witness)),
     TheoremId.VIZING_BAND: _Claim(lambda f, _: _record(_within, f.q, [f.max_da, f.max_da + 1], f.q_witness)),
@@ -306,37 +296,40 @@ _CLAIMS: dict[TheoremId, _Claim] = {
                                                            [f.lam, f.delta, f.big_delta, f.max_da, f.q],
                                                            None, f.q_witness)),
     TheoremId.RANKSUM_STATIC: _Claim(lambda f, _: _record(eq, f.rank_nullity[0], sum(v.rank for v in f.views))),
-    TheoremId.RANKSUM_SEQ: _Claim(lambda f, order: _record(eq, f.rank_nullity[0], f.sums(order)[0],
-                                                           {"order": list(order)}), *_ORDERS),
+    TheoremId.RANKSUM_SEQ: _Claim(lambda f, order: _record(eq, f.rank_nullity[0], f.sums(order)[0]), *_ORDERS,
+                                  universal=True),
     TheoremId.NULLSUM_STATIC: _Claim(lambda f, _: _record(eq, f.rank_nullity[1],
                                                           sum(v.nullity for v in f.views))),
-    TheoremId.NULLSUM_SEQ: _Claim(lambda f, order: _record(eq, f.rank_nullity[1], f.sums(order)[1],
-                                                           {"order": list(order)}), *_ORDERS),
+    TheoremId.NULLSUM_SEQ: _Claim(lambda f, order: _record(eq, f.rank_nullity[1], f.sums(order)[1]), *_ORDERS,
+                                  universal=True),
     TheoremId.VD_EQUALITY: _Claim(lambda f, _: _record(eq, sum(len(v.vertex_set) for v in f.views),
-                                                       sum(f.degrees))),
-    TheoremId.SPANSUM_UPPER: _Claim(lambda f, _: _record(le, f.span_sum, 2 * f.g.m - f.g.n + 1)),
+                                                       sum(f.degrees)), universal=True),
+    TheoremId.SPANSUM_UPPER: _Claim(lambda f, _: _record(le, f.span_sum, 2 * f.g.m - f.g.n + 1),
+                                    universal=True),
     TheoremId.SPANSUM_BAND: _Claim(lambda f, _: _record(
         _within, f.span_sum, [f.g.n * f.delta - f.g.n + 1, f.g.n * f.big_delta - f.g.n + 1])),
     TheoremId.CONTRACTV_BAND: _Claim(
         _edge_band, lambda f: [idx for idx, (u, v, _) in enumerate(f.g.edges) if u != v],
-        lambda f, w: [idx for idx, (u, v, _) in enumerate(f.g.edges) if idx == w.get("edge") and u != v]),
-    TheoremId.CONTRACT_MIN: _Claim(lambda f, i: _record(ge, min(f.after(i)), f.delta - 1,
-                                                        {"hedge": f.g.labels[i]}), *_HEDGES),
-    TheoremId.CONTRACT_H: _Claim(lambda f, i: _record(le, sum(f.after(i)), sum(f.degrees) - 2 * f.views[i].rank,
-                                                      {"hedge": f.g.labels[i]}), *_HEDGES),
+        lambda f, idx: {"edge": idx}),
+    TheoremId.CONTRACT_MIN: _Claim(lambda f, i: _record(ge, min(f.after(i)), f.delta - 1), *_HEDGES,
+                                   universal=True),
+    TheoremId.CONTRACT_H: _Claim(lambda f, i: _record(
+        le, sum(f.after(i)), sum(f.degrees) - 2 * f.views[i].rank), *_HEDGES),
     TheoremId.CONTRACT_SUM: _Claim(lambda f, i: _record(
-        le, sum(f.degrees), sum(f.after(i)) + f.totals[i] - f.views[i].span * (f.delta - 1),
-        {"hedge": f.g.labels[i]}), *_HEDGES),
+        le, sum(f.degrees), sum(f.after(i)) + f.totals[i] - f.views[i].span * (f.delta - 1)), *_HEDGES,
+        universal=True),
     TheoremId.CONTRACT_ADJ: _Claim(
         _adjacency_after, lambda f: permutations(range(f.g.num_labels), 2),
-        lambda f, w: [(i, j) for i in _ids(f, w.get("contracted")) for j in _ids(f, w.get("hedge")) if i != j]),
+        lambda f, pair: {"contracted": f.g.labels[pair[0]], "hedge": f.g.labels[pair[1]]}),
 }
+
+# The claims whose violation is an internal error, not a finding.
+UNIVERSAL_IDS = frozenset(theorem for theorem, claim in _CLAIMS.items() if claim.universal)
 
 
 def _verdicts(theorem: TheoremId, f: _Facts, items: Iterable[Any]) -> list[AuditVerdict]:
-    """The claim's verdicts on ``items``, each witness with the non-default modes."""
-    return [AuditVerdict(theorem, f.text, f.digest, holds, lhs, rhs, {**f.modes, **(extra or {})} or None)
-            for holds, lhs, rhs, extra in map(_CLAIMS[theorem].record, repeat(f), items)]
+    """The claim's verdicts on ``items``."""
+    return [AuditVerdict(theorem, f.text, f.digest, *record) for record in _CLAIMS[theorem].records(f, items)]
 
 
 # The last graph audited, its modes and its facts, read and stored as one tuple;
@@ -429,11 +422,11 @@ def parse_verdict(text: str) -> AuditVerdict:
 def verify_certificate(v: AuditVerdict) -> bool:
     """Recompute a verdict from its serialized instance and confirm it.
 
-    Only the item the witness names (hedge, edge, contracted and hedge, or
-    order) is recomputed, on a graph parsed afresh.  Returns False when the
-    digest does not match the instance text, when the witness names no item
-    of the claim, or when the fresh verdict disagrees on (holds, lhs, rhs,
-    witness), JSON types included: ``1.0`` and ``true`` are not ``1``.
+    Only the item whose key the witness holds (hedge, edge, contracted and
+    hedge, or order) is recomputed, on a graph parsed afresh.  Returns False
+    when the digest does not match the instance text, when the witness names
+    no item of the claim, or when the fresh record disagrees on (holds, lhs,
+    rhs, witness), JSON types included: ``1.0`` and ``true`` are not ``1``.
     Malformed instance text raises ParseError.
     """
     if instance_digest(v.instance_text) != v.digest:
@@ -444,11 +437,8 @@ def verify_certificate(v: AuditVerdict) -> bool:
         facts = _Facts(g, witness.get("count_loops") is not False, witness.get("induced_degrees") is True)
     except GraphError:
         return False
-    theorem = TheoremId(v.theorem)
-    fresh = _verdicts(theorem, facts, _CLAIMS[theorem].named(facts, witness))
-    return any(f.holds == v.holds and f.lhs == v.lhs and f.rhs == v.rhs and f.witness == v.witness
-               and _same([f.holds, f.lhs, f.rhs, f.witness], [v.holds, v.lhs, v.rhs, v.witness])
-               for f in fresh)
+    claim, want = _CLAIMS[TheoremId(v.theorem)], [v.holds, v.lhs, v.rhs, v.witness]
+    return any(_same([*fresh], want) for fresh in claim.records(facts, claim.named(facts, witness)))
 
 
 def _same(a: Any, b: Any) -> bool:

@@ -72,7 +72,10 @@ def validate_certificate(g: HedgeGraph, cert: CutCertificate) -> bool:
 
     The sides must be a proper bipartition and no edge outside the cut
     labels may join them, which also proves the removal disconnects.
+    Labels and vertices are ints: a bool, float, str or None is none.
     """
+    if not all(type(x) is int for part in (cert.labels, cert.side_a, cert.side_b) for x in part):
+        return False
     if not cert.side_a or not cert.side_b or (cert.side_a & cert.side_b):
         return False
     if cert.side_a | cert.side_b != frozenset(range(g.n)):

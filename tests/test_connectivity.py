@@ -683,6 +683,19 @@ class TestValidateCertificate:
         bad = CutCertificate(frozenset({0, 1}), frozenset(range(4)), frozenset(), "brute", False)
         assert not validate_certificate(c4alt, bad)
 
+    @pytest.mark.parametrize("labels, side_a, side_b", [
+        ({"a"}, {0}, {1, 2}), ({None}, {0}, {1, 2}), ({0, "1"}, {0}, {1, 2}), ({False}, {0}, {1, 2}),
+        ({0.0}, {0}, {1, 2}), ({0}, {0}, {True, 2}), ({0}, {0.0}, {1, 2}), ({0}, {False}, {1, 2}),
+        ({0}, {0}, {1, "2"}), ({0}, {0, None}, {1, 2}),
+    ])
+    def test_rejects_a_label_or_vertex_that_is_not_an_int(self, p3, labels, side_a, side_b):
+        # a bool or float equals an int and a str or None does not compare with one: none is an id;
+        # each case puts one such id into this valid cut, in place of an int or beside one
+        assert validate_certificate(p3, CutCertificate(frozenset({0}), frozenset({0}), frozenset({1, 2}),
+                                                       "brute", False))
+        bad = CutCertificate(frozenset(labels), frozenset(side_a), frozenset(side_b), "brute", False)
+        assert validate_certificate(p3, bad) is False
+
 
 def test_large_stars_listed_centre_first():
     # every edge names the centre first, so a union-find without path

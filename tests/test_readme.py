@@ -2,7 +2,9 @@
 
 The "Library quick start" block is executed, and every ``$ hedgecut ...``
 line in a code block is run in-process through ``cli.main`` from the
-repository root; its stdout must equal the lines printed under it.
+repository root; its stdout must equal the lines printed under it.  The
+"Claim catalog" table lists every claim in catalog order and marks U
+exactly the universal ones.
 """
 
 import re
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from hedgecut import cli
+from hedgecut import UNIVERSAL_IDS, TheoremId, cli
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -54,3 +56,12 @@ def test_cli_example(command, expected, capsys, monkeypatch):
     assert cli.main(shlex.split(command)[1:]) == 0
     out, err = capsys.readouterr()
     assert (out, err) == (expected, "")
+
+
+def test_claim_catalog_lists_every_claim_and_marks_the_universal_ones():
+    section = README.split("## Claim catalog", 1)[1].split("\n## ", 1)[0]
+    rows = [[cell.strip() for cell in line.strip("|").split(" | ")]
+            for line in section.splitlines() if line.startswith("| `")]
+    assert [row[0].strip("`") for row in rows] == [t.value for t in TheoremId]
+    assert {row[-1] for row in rows} == {"U", "refuted"}
+    assert {TheoremId(row[0].strip("`")) for row in rows if row[-1] == "U"} == UNIVERSAL_IDS

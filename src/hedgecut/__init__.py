@@ -5,28 +5,14 @@ fail as a unit.  This package models such graphs, contracts and relabels
 hedges, computes global hedge connectivity with re-checkable cut
 certificates, and adjudicates a catalog of structural claims on random
 and hand-built instances.
+
+Importing the package loads the graph model, the HG1 format and the
+connectivity kernels; the auditor, the generator, contraction and
+relabeling load on first use of one of their names (PEP 562).
 """
 
-from .adjacency import (
-    Relabeling,
-    adjacency_graph,
-    greedy_relabel,
-    max_adjacency_degree,
-)
-from .audit import (
-    UNIVERSAL_IDS,
-    AuditVerdict,
-    GeneratorParams,
-    SearchResult,
-    TheoremId,
-    audit_theorem,
-    format_verdict,
-    instance_digest,
-    parse_verdict,
-    random_instance,
-    search_counterexample,
-    verify_certificate,
-)
+from importlib import import_module
+
 from .connectivity import (
     CutCertificate,
     brute_force_connectivity,
@@ -37,14 +23,6 @@ from .connectivity import (
     randomized_connectivity,
     randomized_contraction_cut,
     validate_certificate,
-)
-from .contraction import (
-    ContractionStep,
-    ContractionTrace,
-    cleanup,
-    contract_edge,
-    contract_hedge,
-    contraction_sequence,
 )
 from .graph import (
     GraphError,
@@ -60,6 +38,26 @@ from .graph import (
 )
 from .hgformat import ParseError, emit, parse
 from .rng import Rng, mix
+
+# the public names of the modules that load on first use, by module
+_LAZY = {name: module for module, names in (
+    ("adjacency", ("Relabeling", "adjacency_graph", "greedy_relabel", "max_adjacency_degree")),
+    ("audit", ("UNIVERSAL_IDS", "AuditVerdict", "SearchResult", "TheoremId", "audit_theorem", "format_verdict",
+               "instance_digest", "parse_verdict", "search_counterexample", "verify_certificate")),
+    ("contraction", ("ContractionStep", "ContractionTrace", "cleanup", "contract_edge", "contract_hedge",
+                     "contraction_sequence")),
+    ("generator", ("GeneratorParams", "random_instance")),
+) for name in names}
+
+
+def __getattr__(name: str):
+    """Import the module that defines a deferred public name, and keep the name here."""
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value
+
 
 __version__ = "1.0.0"
 

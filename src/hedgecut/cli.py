@@ -6,6 +6,10 @@ status 1 when a claim from the provably-universal set is violated
 (violations of the refutable claims are findings, reported with exit 0).
 The optional HEDGECUT_SEED environment variable supplies the default
 seed where --seed is not given.
+
+Importing this module loads only what the connectivity command runs; every
+other command imports the modules it needs (auditor, generator, contraction,
+relabeling) when it runs.
 """
 
 from __future__ import annotations
@@ -15,22 +19,25 @@ import functools
 import os
 import sys
 from dataclasses import replace
-from typing import Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
-from .adjacency import _adjacency_of, greedy_relabel
-from .audit import (
-    UNIVERSAL_IDS,
-    GeneratorParams,
-    TheoremId,
-    audit_theorem,
-    format_verdict,
-    random_instance,
-)
 from .connectivity import hedge_connectivity
-from .contraction import cleanup, contract_hedge
 from .graph import GraphError, HedgeGraph, _hedge_views, _vertex_label_sets, graph_rank_nullity
 from .hgformat import ParseError, emit, parse
 from .rng import mix
+
+if TYPE_CHECKING:
+    from .audit import TheoremId
+    from .generator import GeneratorParams
+
+
+def __getattr__(name: str) -> Any:
+    """``cli.audit_theorem`` loads the auditor on first read; ``_cmd_audit`` reads
+    the name as an attribute of this module, so a value set here wins."""
+    if name == "audit_theorem":
+        from .audit import audit_theorem
+        return audit_theorem
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _load(path: str) -> HedgeGraph:
@@ -59,6 +66,7 @@ def _seed(args: argparse.Namespace) -> int:
 
 def _parse_params(ranges: str | None, seed: int) -> GeneratorParams:
     """Parse 'n=2..8,extra=0..3,L=1..5' (m is accepted for extra)."""
+    from .generator import GeneratorParams
     params = GeneratorParams(seed=seed)
     if not ranges:
         return params
@@ -85,6 +93,7 @@ def _parse_params(ranges: str | None, seed: int) -> GeneratorParams:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    from .adjacency import _adjacency_of
     g = _load(args.file)
     rank, nullity = graph_rank_nullity(g)
     sets = _vertex_label_sets(g.n, g.edges)  # one build for the degrees and max_dA
@@ -125,6 +134,7 @@ def _cmd_connectivity(args: argparse.Namespace) -> int:
 
 
 def _cmd_contract(args: argparse.Namespace) -> int:
+    from .contraction import cleanup, contract_hedge
     g = _load(args.file)
     result = contract_hedge(g, args.hedge)
     if args.cleanup:
@@ -134,6 +144,7 @@ def _cmd_contract(args: argparse.Namespace) -> int:
 
 
 def _cmd_relabel(args: argparse.Namespace) -> int:
+    from .adjacency import greedy_relabel
     g = _load(args.file)
     relabeling = greedy_relabel(g)
     print(f"q={relabeling.num_colors}")
@@ -143,6 +154,7 @@ def _cmd_relabel(args: argparse.Namespace) -> int:
 
 
 def _theorem_selection(value: str) -> list[TheoremId]:
+    from .audit import TheoremId
     if value == "all":
         return list(TheoremId)
     try:
@@ -156,7 +168,10 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         raise GraphError("audit needs exactly one of: an instance file, or --random")
     if args.random and args.trials < 1:
         raise GraphError("--trials must be at least 1 with --random")
+    from .audit import UNIVERSAL_IDS, format_verdict
+    from .generator import random_instance
     ids = _theorem_selection(args.theorem)
+    audit_theorem = sys.modules[__name__].audit_theorem  # a value set on cli wins over __getattr__
     if args.file is not None:
         instances: Iterable[HedgeGraph] = [_load(args.file)]
     else:
@@ -174,6 +189,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from .generator import random_instance
     params = _parse_params(args.params, _seed(args))
     print(emit(random_instance(params)), end="")
     return 0

@@ -72,9 +72,11 @@ def validate_certificate(g: HedgeGraph, cert: CutCertificate) -> bool:
 
     The sides must be a proper bipartition and no edge outside the cut
     labels may join them, which also proves the removal disconnects.
-    Labels and vertices are ints: a bool, float, str or None is none.
+    Each part is a set or frozenset of ints (a list or None is no part, and a
+    bool, float, str or None no int), else the answer is False.
     """
-    if not all(type(x) is int for part in (cert.labels, cert.side_a, cert.side_b) for x in part):
+    parts = (cert.labels, cert.side_a, cert.side_b)
+    if not all(isinstance(part, (set, frozenset)) and all(type(x) is int for x in part) for part in parts):
         return False
     if not cert.side_a or not cert.side_b or (cert.side_a & cert.side_b):
         return False

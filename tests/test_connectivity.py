@@ -696,6 +696,15 @@ class TestValidateCertificate:
         bad = CutCertificate(frozenset(labels), frozenset(side_a), frozenset(side_b), "brute", False)
         assert validate_certificate(p3, bad) is False
 
+    @pytest.mark.parametrize("labels, side_a, side_b", [
+        ([0], [0], [1, 2]), (None, frozenset({0}), frozenset({1, 2})), (frozenset({0}), None, {1, 2}),
+        (frozenset({0}), (0,), frozenset({1, 2})), ({0}, {0}, [1, 2]),
+    ])
+    def test_rejects_a_part_that_is_not_a_set(self, p3, labels, side_a, side_b):
+        # a list, tuple or None in place of a set answers False instead of raising TypeError
+        assert validate_certificate(p3, CutCertificate({0}, {0}, {1, 2}, "brute", False))
+        assert validate_certificate(p3, CutCertificate(labels, side_a, side_b, "brute", False)) is False
+
 
 def test_large_stars_listed_centre_first():
     # every edge names the centre first, so a union-find without path

@@ -9,7 +9,9 @@ values answer a unique bridge or 2-edge cut directly, and otherwise prove
 a lower bound of 1, 2 or 3 at which the sweep stops, since no phase cuts
 below the connectivity and ties keep the earlier phase.
 Larger label sets fall back to seeded randomized hedge contraction,
-which yields an upper bound with a valid certificate.
+which yields an upper bound with a valid certificate.  Its trials stop at
+the best cut's size, and its loop once a packing proves that cut minimum;
+ties keep the earliest trial, so the certificate is the whole budget's.
 
 Enumeration and contraction trials share one flat representation, built
 once per graph: for every label, a spanning forest of its non-loop edges
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .graph import (
@@ -110,11 +113,17 @@ def _check_cap(cap: int) -> None:
         raise GraphError(f"enumeration cap must be an int, not {cap!r}")
 
 
+_proven: HedgeGraph | None = None  # the last graph _connected proved connected
+
+
 def _connected(g: HedgeGraph) -> bool:
-    """Entry guard of every connectivity function: is_connected(g), for n >= 2 only."""
+    """Entry guard of every connectivity function: is_connected(g), for n >= 2, once per graph."""
+    global _proven
     if g.n < 2:
         raise GraphError("connectivity is undefined for a single vertex")
-    return is_connected(g)
+    if g is not _proven and is_connected(g):
+        _proven = g  # a strong reference: no other graph can take its id
+    return g is _proven
 
 
 def min_label_degree_bound(g: HedgeGraph) -> int:
@@ -297,7 +306,7 @@ def ordinary_edge_min_cut(g: HedgeGraph) -> CutCertificate:
                         "fastpath", True)
 
 
-def _contraction_trial(n: int, forests: Forests, seed: int) -> frozenset[int]:
+def _contraction_trial(n: int, forests: Forests, seed: int, limit: int | None = None) -> frozenset[int] | None:
     """The cut labels of one contraction trial on the flat forests of a connected graph.
 
     ``cls[v]`` is the class (super-vertex) of original vertex ``v``, named
@@ -310,7 +319,7 @@ def _contraction_trial(n: int, forests: Forests, seed: int) -> frozenset[int]:
     ``count - 1`` joins every class, stays so, and crosses the final two
     or more: it is retired into the cut, and ``live``, in label id order,
     is the safe list.  The final classes are the components left once the
-    returned labels are removed.
+    returned labels are removed.  None once ``limit`` labels are retired.
     """
     rng = Rng(seed)
     cls = list(range(n))
@@ -327,6 +336,8 @@ def _contraction_trial(n: int, forests: Forests, seed: int) -> frozenset[int]:
                 if len(pairs) > count - 2:  # it joins every class
                     del live[lab]
                     cut.append(lab)
+                    if len(cut) == limit:
+                        return None
                 else:
                     live[lab] = pairs
         if not live:
@@ -371,6 +382,25 @@ def default_trial_count(num_labels: int) -> int:
     return num_labels * num_labels * (num_labels.bit_length())
 
 
+def _packing(n: int, forests: Forests) -> Iterator[int]:
+    """Disjoint spanning label sets as bit masks; every hedge cut holds a label of each.
+
+    A set is one ``_join`` pass's ``used`` mask over the labels not yet taken, largest
+    forests first, re-joined in reverse until it stops shrinking; a pass that splits ends it.
+    """
+    order, taken = sorted(range(len(forests)), key=lambda lab: -len(forests[lab])), 0
+    while True:
+        _, parts, used = _join(n, forests, (), [lab for lab in order if not taken >> lab & 1])
+        if parts > 1:
+            return
+        labs, last = order, 0
+        while used != last:  # each re-join visits the last pass's labels in reverse
+            last, labs = used, [lab for lab in reversed(labs) if used >> lab & 1]
+            used = _join(n, forests, (), labs)[2]
+        taken |= used
+        yield used
+
+
 def randomized_connectivity(g: HedgeGraph, trials: int | None = None,
                             base_seed: int = 0) -> CutCertificate:
     """Best certificate over independent seeded contraction trials.
@@ -379,6 +409,12 @@ def randomized_connectivity(g: HedgeGraph, trials: int | None = None,
     so the result depends only on (trials, base_seed).  Ties keep the
     earliest trial.  With zero trials the minimum-degree-vertex cut is
     returned as a fallback.
+
+    Trials that cannot change that answer are skipped.  A trial stops, with
+    no cut, once it has retired as many labels as the best cut holds.  Once
+    ``_packing`` yields s disjoint spanning sets for a best cut of s >= 2
+    labels, that cut is minimum and the loop ends: at most lambda + 1 greedy
+    passes, plus their re-joins.  The answer is still not marked exact.
     """
     if not _connected(g):
         raise GraphError("contraction trials require a connected graph")
@@ -387,13 +423,17 @@ def randomized_connectivity(g: HedgeGraph, trials: int | None = None,
     if type(trials) is not int or trials < 0:  # a bool is no count
         raise GraphError(f"trial count must be a nonnegative int, not {trials!r}")
     forests = _hedge_forests(g)
+    packing, packed = _packing(g.n, forests), 0
     best: frozenset[int] | None = None
     for t in range(trials):
-        labels = _contraction_trial(g.n, forests, mix(base_seed, t))
-        if best is None or len(labels) < len(best):
+        labels = _contraction_trial(g.n, forests, mix(base_seed, t), None if best is None else len(best))
+        if best is None or labels is not None and len(labels) < len(best):
             best = labels
             if len(best) == 1:
                 break  # connected graphs need at least one hedge removed
+            packed += len(list(itertools.islice(packing, len(best) - packed)))
+            if packed == len(best):
+                break  # the cut is minimum: no later trial finds a smaller one
     if best is None:
         return _degree_bound_certificate(g, _vertex_label_sets(g.n, g.edges))
     return _certificate(g, best, "randomized", False)

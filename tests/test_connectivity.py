@@ -473,6 +473,90 @@ def test_trial_matches_reference_kernel():
     assert sum(len(cut) >= 2 for cut in cuts) >= 300  # not only pendant vertices
 
 
+def test_trial_limit_only_drops_cuts_that_cannot_win():
+    # a trial given a limit returns None only once its cut is sure to hold at least
+    # that many labels; otherwise it returns the cut the unlimited trial returns
+    dropped = kept = 0
+    for n, forests in _trial_inputs():
+        for t in range(3):
+            full = connectivity._contraction_trial(n, forests, mix(5, t))
+            for limit in range(1, 5):
+                cut = connectivity._contraction_trial(n, forests, mix(5, t), limit)
+                assert cut == full or (cut is None and len(full) >= limit), (n, t, limit)
+                dropped += cut is None
+                kept += cut is not None and len(cut) >= limit
+    assert dropped >= 300 and kept >= 300, (dropped, kept)
+
+
+def _reference_connectivity(g, trials, base_seed):
+    """``randomized_connectivity`` as it was before trials stopped early: the whole
+    budget runs, with no limit, unless a trial finds a one-label cut."""
+    forests = connectivity._hedge_forests(g)
+    best = None
+    for t in range(default_trial_count(g.num_labels) if trials is None else trials):
+        labels = connectivity._contraction_trial(g.n, forests, mix(base_seed, t))
+        if best is None or len(labels) < len(best):
+            best = labels
+            if len(best) == 1:
+                break
+    if best is None:
+        return connectivity._degree_bound_certificate(g, connectivity._vertex_label_sets(g.n, g.edges))
+    return connectivity._certificate(g, best, "randomized", False)
+
+
+def test_trial_loop_matches_the_full_budget():
+    # skipped trials could not change the answer: every certificate is the full budget's
+    graphs = [random_instance(GeneratorParams(*FAMILIES[f], seed=1000 * f + seed))
+              for f in range(len(FAMILIES)) for seed in range(40)]
+    for g in graphs + [_two_halves(seed) for seed in range(20)]:
+        for trials in (0, 1, 8, None):
+            assert randomized_connectivity(g, trials, 3) == _reference_connectivity(g, trials, 3)
+
+
+def _packed(g):
+    return list(connectivity._packing(g.n, connectivity._hedge_forests(g)))
+
+
+def test_trial_loop_stops_at_the_packing_bound(monkeypatch):
+    # on two-halves graphs of connectivity 2 and 3, the default budget is cut short
+    # exactly when the packing proves the connectivity
+    trial = connectivity._contraction_trial
+    calls = []
+    monkeypatch.setattr(connectivity, "_contraction_trial",
+                        lambda *args: calls.append(args) or trial(*args))
+    stopped = []
+    for seed in range(40):
+        g = _two_halves(seed)
+        lam = brute_force_connectivity(g).size
+        if lam in (2, 3):
+            calls.clear()
+            assert randomized_connectivity(g).size == lam
+            short = len(calls) < default_trial_count(g.num_labels)
+            assert short == (len(_packed(g)) == lam), (seed, len(calls))
+            stopped += [lam] * short
+    assert stopped.count(2) >= 5 and 3 in stopped, stopped
+
+
+def test_packing_sets_are_disjoint_spanning_and_at_most_the_connectivity():
+    graphs = [random_instance(GeneratorParams(*FAMILIES[f], seed=1000 * f + seed))
+              for f in range(len(FAMILIES)) for seed in range(40)]
+    reached = 0
+    for g in graphs + [_two_halves(seed) for seed in range(20)]:
+        sets, forests = _packed(g), connectivity._hedge_forests(g)
+        big_first = sorted(range(g.num_labels), key=lambda lab: -len(forests[lab]))
+        for i, mask in enumerate(sets):
+            assert not any(mask & other for other in sets[:i])
+            others = [lab for lab in range(g.num_labels) if not mask >> lab & 1]
+            assert is_connected(remove_hedges(g, others)), bin(mask)
+            labs = [lab for lab in big_first if mask >> lab & 1]
+            for visit in (labs, labs[::-1]):  # re-joined until neither order drops a label
+                assert connectivity._join(g.n, forests, (), visit)[2] == mask
+        lam = brute_force_connectivity(g, cap=g.num_labels).size
+        assert 1 <= len(sets) <= lam
+        reached += len(sets) == lam >= 2
+    assert reached >= 5, reached
+
+
 def test_trial_retires_spanning_hedges_and_builds_fewer_forests(monkeypatch):
     # a _forest result of count - 1 pairs joins every current class; the reference
     # rebuilds such a hedge at every later step, the kernel retires it into the cut
@@ -638,6 +722,24 @@ class TestDispatch:
         assert hedge_connectivity(p3, method="brute").method == "brute"
         assert hedge_connectivity(p3, method="random", trials=4).method == "randomized"
         assert hedge_connectivity(disconnected, method="random").size == 0
+
+    def test_one_connectivity_check_per_op(self, monkeypatch, c4alt, triangle, disconnected):
+        # auto and the kernel it calls share one is_connected pass, and a disconnected
+        # graph is still refused by every public kernel after a connected one passed
+        calls = []
+        monkeypatch.setattr(connectivity, "is_connected", lambda g: calls.append(g) or is_connected(g))
+        for g, cap, method in ((c4alt, 20, "brute"), (triangle, 20, "fastpath"), (c4alt, 1, "randomized")):
+            fresh = HedgeGraph(g.n, g.edges, g.labels)
+            calls.clear()
+            assert hedge_connectivity(fresh, cap=cap).method == method
+            assert calls == [fresh]
+        for kernel in (min_label_degree_bound, randomized_connectivity,
+                       lambda g: randomized_contraction_cut(g, 0)):
+            with pytest.raises(GraphError, match="connected graph"):
+                kernel(disconnected)
+        for kernel in (brute_force_connectivity, ordinary_edge_min_cut):
+            assert kernel(disconnected).labels == frozenset()
+        assert calls[-5:] == [disconnected] * 5
 
     def test_unknown_method_rejected(self, p3):
         with pytest.raises(GraphError, match="unknown method"):

@@ -40,11 +40,10 @@ from operator import eq, ge, le
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .adjacency import _adjacency_of, _greedy_colors, adjacency_graph
-from .connectivity import brute_force_connectivity
+from .connectivity import _connected, brute_force_connectivity
 from .contraction import _contract, _contract_edge, contraction_sequence
 from .generator import GeneratorParams, _check_ranges, random_instance
-from .graph import (Edge, GraphError, HedgeGraph, _hedge_views, _vertex_label_sets, graph_rank_nullity,
-                    is_connected)
+from .graph import Edge, GraphError, HedgeGraph, _hedge_views, _vertex_label_sets, graph_rank_nullity
 from .hgformat import ParseError, emit, parse
 from .rng import Rng, mix
 
@@ -155,7 +154,9 @@ class _Facts:
     """
 
     def __init__(self, g: HedgeGraph, count_loops: bool, induced_degrees: bool):
-        if g.n < 2 or not is_connected(g):
+        # n first: _connected refuses one vertex with a message of its own; it then
+        # proves g once for brute_force_connectivity too
+        if g.n < 2 or not _connected(g):
             raise GraphError("audit requires a connected instance with at least 2 vertices")
         self.g, self.count_loops, self.induced_degrees = g, count_loops, induced_degrees
         self.memo: dict[Any, Any] = {}

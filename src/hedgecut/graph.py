@@ -10,7 +10,9 @@ Each input rule has one home: ``HedgeGraph`` checks what every graph
 obeys (n an int >= 1, endpoints and label ids ints in range, every label
 used, label names unique nonempty strings with no whitespace or ``#``),
 ``build_graph`` only the simple-input rules, and ``hgformat.parse`` only
-the HG1 syntax.
+the HG1 syntax.  The one exception is ``parse``'s one-pass reader of the
+canonical form, which applies the simple-input rules itself and declines
+any text that breaks one, so the line walk and ``build_graph`` name it.
 
 Two merge routines serve the whole package: ``_forest`` keeps a spanning
 forest of a sparse pair set and gives every rank; ``_join`` is the one
@@ -20,8 +22,9 @@ vertex map and every cut's sides.  Only a contraction trial relinks its
 own class lists, which ``_root`` slowed by a quarter.  ``_by_label`` is
 the one grouping of edges by label (all views, forests, sequences),
 ``_vertex_label_sets`` the one label-degree count, of any edge list.
-``build_graph`` builds every input graph, ``_rebuild`` every derived one,
-and nothing else constructs a ``HedgeGraph``.
+``build_graph`` builds every input graph that is not canonical HG1 text
+(``hgformat.parse`` builds those), ``_rebuild`` every derived one, and
+nothing else constructs a ``HedgeGraph``.
 """
 
 from __future__ import annotations

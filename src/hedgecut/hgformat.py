@@ -11,14 +11,21 @@ whitespace), and a form feed or a bare carriage return ends no line.
 ``#`` starts a comment running to end of line; blank lines are ignored.
 Labels are tokens free of whitespace and ``#``.  A header may declare at
 most 1,000,000 vertices (``graph._MAX_VERTICES``).  ``parse`` accepts simple graphs only
-(the input contract) but checks only syntax, reporting a syntax fault
-before any graph fault.  ``emit`` serializes any hedge graph, writing
+(the input contract).  Text in the form ``emit`` writes (the header, then
+``u v label`` lines of printable ASCII, each ended by a line feed, with no
+comments, blank lines, carriage returns or tabs) takes one pass that also
+applies the simple-input rules; ``HedgeGraph`` checks the rest.  Any other
+text, or any fault, takes the line walk, which checks only syntax,
+reports a syntax fault before any graph fault, and is the one source of
+``ParseError`` messages and lines.  ``emit`` serializes any hedge graph, writing
 edges in stored order, so first appearances of label names follow
 dense-id order and ``parse(emit(g))`` reproduces a parseable ``g``
 bit-exactly.
 """
 
 from __future__ import annotations
+
+import re
 
 from .graph import _MAX_VERTICES, GraphError, HedgeGraph, build_graph
 
@@ -42,8 +49,48 @@ def _decimals(a: str, b: str, lineno: int, what: str) -> tuple[int, int]:
     raise ParseError(lineno, f"{what} must be decimal integers")
 
 
+# the form emit writes: labels are printable ASCII without "#", none of
+# which str.split() splits at, so every line gives exactly three tokens
+_CANONICAL = r'HG1 \d+ \d+\n(?:\d+ \d+ [!-"$-~]+\n)*'
+
+
 def parse(text: str) -> HedgeGraph:
     """Parse HG1 text into a validated simple hedge graph.
+
+    Text in the form ``emit`` writes takes one pass (``_bulk``); any other
+    text, and any that ``_bulk`` declines, takes the line walk (``_walk``).
+    """
+    g = _bulk(text)
+    return _walk(text) if g is None else g
+
+
+def _bulk(text: str) -> HedgeGraph | None:
+    """The graph of canonical text that obeys every rule, else None: the walk names the fault."""
+    if not re.fullmatch(_CANONICAL, text, re.ASCII):  # not compiled at import: re caches it on first use
+        return None
+    tokens = text.split()
+    try:  # int() refuses more than 4,300 digits, and a GraphError is a ValueError
+        n, m = int(tokens[1]), int(tokens[2])
+        if not 1 <= n <= _MAX_VERTICES or (n >= 2 and not m):
+            return None
+        interned: dict[str, int] = {}
+        pairs: set[int] = set()  # u * n + v for u < v: one key per unordered pair of ids below n
+        edges = []
+        it = iter(tokens[3:])
+        for a, b, name in zip(it, it, it):
+            u, v = int(a), int(b)
+            if u == v:
+                return None
+            pairs.add(u * n + v if u < v else v * n + u)
+            edges.append((u, v, interned.setdefault(name, len(interned))))
+        # a repeated pair leaves fewer keys than edges; HedgeGraph refuses ids of n or more
+        return HedgeGraph(n, tuple(edges), tuple(interned)) if len(pairs) == len(edges) == m else None
+    except ValueError:
+        return None
+
+
+def _walk(text: str) -> HedgeGraph:
+    """Parse HG1 text line by line: the one source of ``ParseError`` messages and lines.
 
     ``build_graph`` checks the graph rules; a fault in one edge is
     reported at that edge's line, any other at the header's.

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import random
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -314,7 +315,7 @@ def test_claim_order_does_not_change_a_verdict():
         assert {(k, t): records(t, g, mode) for t in TheoremId for k, mode in modes} == alone
 
 
-SHARED = ("emit", "instance_digest", "is_connected", "adjacency_graph", "brute_force_connectivity",
+SHARED = ("emit", "instance_digest", "_connected", "adjacency_graph", "brute_force_connectivity",
           "contraction_sequence", "_chromatic_number")
 
 
@@ -334,9 +335,26 @@ def test_audit_all_computes_each_shared_value_once(monkeypatch, capsys):
     # a replay parses its own graph, so each one starts cold: every _Facts checks connectivity once
     record = parse_verdict(out[:out.index("instance-end\n") + len("instance-end\n")])
     for _ in range(2):
-        checked = calls["is_connected"]
+        checked = calls["_connected"]
         assert verify_certificate(record)
-        assert calls["is_connected"] == checked + 1
+        assert calls["_connected"] == checked + 1
+
+
+def test_audit_runs_one_connectivity_pass(monkeypatch):
+    # _Facts proves the graph through connectivity._connected, whose cache
+    # brute_force_connectivity then hits; every binding of is_connected is counted
+    calls = []
+    def counted(g):
+        calls.append(g)
+        return is_connected(g)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "hedgecut":
+            for attr, value in list(vars(module).items()):
+                if value is is_connected:
+                    monkeypatch.setattr(module, attr, counted)
+    fixture = Path(__file__).parent / "fixtures" / "c4alt.hg"
+    assert cli.main(["audit", str(fixture), "--theorem", "all"]) == 0
+    assert len(calls) == 1
 
 
 def _label_degrees(h, count_loops, inside=None):

@@ -317,11 +317,6 @@ _CLAIMS: dict[TheoremId, _Claim] = {
 UNIVERSAL_IDS = frozenset(theorem for theorem, claim in _CLAIMS.items() if claim.universal)
 
 
-def _verdicts(theorem: TheoremId, f: _Facts, items: Iterable[Any]) -> list[AuditVerdict]:
-    """The claim's verdicts on ``items``."""
-    return [AuditVerdict(theorem, f.text, f.digest, *record) for record in _CLAIMS[theorem].records(f, items)]
-
-
 # The last graph audited, its modes and its facts, read and stored as one tuple;
 # the strong reference keeps the graph's id from being reused while it is here.
 _last: tuple[Any, Any, Any] = (None, None, None)
@@ -341,7 +336,8 @@ def audit_theorem(theorem: TheoremId, g: HedgeGraph, *, count_loops: bool = True
         f = _Facts(g, count_loops, induced_degrees)
         _last = (g, (count_loops, induced_degrees), f)
     theorem = TheoremId(theorem)
-    return _verdicts(theorem, f, _CLAIMS[theorem].items(f))
+    claim = _CLAIMS[theorem]
+    return [AuditVerdict(theorem, f.text, f.digest, *record) for record in claim.records(f, claim.items(f))]
 
 
 # json.dumps with options builds a new encoder on every call; one serves every field

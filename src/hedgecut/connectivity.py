@@ -2,8 +2,8 @@
 
 The connectivity of a connected hedge graph is the minimum number of
 hedges whose joint removal disconnects it.  Exact answers come from
-subset enumeration (sound because the hedges at a minimum label-degree
-vertex always form a cut, capping the search depth) or, when every label
+subset enumeration (smallest sets first, so its depth is reached at the
+connectivity, which the minimum label degree bounds) or, when every label
 has exactly one edge, from a deterministic global min-cut: cycle-space
 values answer a unique bridge or 2-edge cut directly, and otherwise prove
 a lower bound of 1, 2 or 3 at which the sweep stops, since no phase cuts
@@ -145,8 +145,8 @@ def brute_force_connectivity(g: HedgeGraph, cap: int = 20) -> CutCertificate:
 
     Within one cardinality, subsets are tried in lexicographic order of
     their sorted label ids, so the reported minimum cut is the
-    lexicographically least one.  Enumeration never needs subsets larger
-    than the minimum label degree.
+    lexicographically least one.  The depth is reached at the connectivity,
+    at most the minimum label degree, which is never computed here.
 
     A subset is tested by one union-find pass over the forests of the
     labels it keeps, largest forests first.  When the kept labels connect
@@ -165,12 +165,11 @@ def brute_force_connectivity(g: HedgeGraph, cap: int = 20) -> CutCertificate:
     num = g.num_labels
     if num > cap:
         raise GraphError(f"label count {num} exceeds the enumeration cap {cap}")
-    bound = min(len(s) for s in _vertex_label_sets(g.n, g.edges))
     forests = _hedge_forests(g)
     big_first = sorted(range(num), key=lambda lab: -len(forests[lab]))
     holds = [0] * num  # bit j set when spanning set j contains the label
     found = 0  # spanning sets recorded
-    for k in range(1, bound + 1):
+    for k in range(1, num + 1):
         for prefix in itertools.combinations(range(num - 1), k - 1):
             free, pmask = (1 << found) - 1, 0  # free: the recorded sets that avoid the prefix
             for p in prefix:
@@ -193,7 +192,7 @@ def brute_force_connectivity(g: HedgeGraph, cap: int = 20) -> CutCertificate:
                         mask ^= low
                     free |= 1 << found
                     found += 1
-    raise AssertionError("no cut found within the degree bound")
+    raise AssertionError("removing every label left the graph connected")
 
 
 def _small_cut(n: int, edges: tuple[Edge, ...]) -> tuple[frozenset[int] | None, int]:
@@ -412,7 +411,7 @@ def randomized_connectivity(g: HedgeGraph, trials: int | None = None,
 
     Trials that cannot change that answer are skipped.  A trial stops, with
     no cut, once it has retired as many labels as the best cut holds.  Once
-    ``_packing`` yields s disjoint spanning sets for a best cut of s >= 2
+    ``_packing`` yields s disjoint spanning sets for a best cut of s >= 1
     labels, that cut is minimum and the loop ends: at most lambda + 1 greedy
     passes, plus their re-joins.  The answer is still not marked exact.
     """
@@ -429,8 +428,6 @@ def randomized_connectivity(g: HedgeGraph, trials: int | None = None,
         labels = _contraction_trial(g.n, forests, mix(base_seed, t), None if best is None else len(best))
         if best is None or labels is not None and len(labels) < len(best):
             best = labels
-            if len(best) == 1:
-                break  # connected graphs need at least one hedge removed
             packed += len(list(itertools.islice(packing, len(best) - packed)))
             if packed == len(best):
                 break  # the cut is minimum: no later trial finds a smaller one

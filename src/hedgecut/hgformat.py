@@ -13,14 +13,13 @@ Labels are tokens free of whitespace and ``#``.  A header may declare at
 most 1,000,000 vertices (``graph._MAX_VERTICES``).  ``parse`` accepts simple graphs only
 (the input contract).  Text in the form ``emit`` writes (the header, then
 ``u v label`` lines of printable ASCII, each ended by a line feed, with no
-comments, blank lines, carriage returns or tabs) takes one pass that also
-applies the simple-input rules; ``HedgeGraph`` checks the rest.  Any other
-text, or any fault, takes the line walk, which checks only syntax,
-reports a syntax fault before any graph fault, and is the one source of
-``ParseError`` messages and lines.  ``emit`` serializes any hedge graph, writing
-edges in stored order, so first appearances of label names follow
-dense-id order and ``parse(emit(g))`` reproduces a parseable ``g``
-bit-exactly.
+comments, blank lines, carriage returns or tabs) takes one pass: it
+tokenizes the text and calls ``build_graph``.  Any other text, or any
+fault, takes the line walk, which checks only syntax, reports a syntax
+fault before any graph fault, and is the one source of ``ParseError``
+messages and lines.  ``emit`` serializes any hedge graph, writing edges
+in stored order, so first appearances of label names follow dense-id
+order and ``parse(emit(g))`` reproduces a parseable ``g`` bit-exactly.
 """
 
 from __future__ import annotations
@@ -71,20 +70,10 @@ def _bulk(text: str) -> HedgeGraph | None:
     tokens = text.split()
     try:  # int() refuses more than 4,300 digits, and a GraphError is a ValueError
         n, m = int(tokens[1]), int(tokens[2])
-        if not 1 <= n <= _MAX_VERTICES or (n >= 2 and not m):
+        if n > _MAX_VERTICES or len(tokens) != 3 * m + 3:  # the header rules build_graph cannot see
             return None
-        interned: dict[str, int] = {}
-        pairs: set[int] = set()  # u * n + v for u < v: one key per unordered pair of ids below n
-        edges = []
         it = iter(tokens[3:])
-        for a, b, name in zip(it, it, it):
-            u, v = int(a), int(b)
-            if u == v:
-                return None
-            pairs.add(u * n + v if u < v else v * n + u)
-            edges.append((u, v, interned.setdefault(name, len(interned))))
-        # a repeated pair leaves fewer keys than edges; HedgeGraph refuses ids of n or more
-        return HedgeGraph(n, tuple(edges), tuple(interned)) if len(pairs) == len(edges) == m else None
+        return build_graph(n, zip(map(int, it), map(int, it), it))  # u, v, label: zip pulls them in turn
     except ValueError:
         return None
 

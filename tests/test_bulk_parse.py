@@ -80,3 +80,14 @@ def test_canonical_text_takes_the_bulk_path(monkeypatch, capsys):
     for text in texts:
         assert emit(parse(text)) == text
     assert len(texts) == 128 and walks == []
+
+
+def test_canonical_text_is_built_by_build_graph(monkeypatch):
+    # the one pass only tokenizes: build_graph alone applies the simple-input rules
+    build = hgformat.build_graph
+    calls = []
+    monkeypatch.setattr(hgformat, "build_graph", lambda n, edges: calls.append(n) or build(n, edges))
+    for path in sorted(FIXTURES.glob("*.hg")):
+        calls.clear()
+        g = parse(path.read_text(encoding="ascii"))
+        assert calls == [g.n], path.name

@@ -685,6 +685,18 @@ def test_enumeration_records_disjoint_spanning_sets_and_tests_fewer(monkeypatch)
         assert is_connected(remove_hedges(g, others)), bin(mask)
 
 
+def test_enumeration_computes_no_degree_bound(monkeypatch):
+    # smallest subsets first, enumeration returns at depth lambda, at most the
+    # minimum label degree, so no label-degree pass bounds its depth
+    graphs = [build_graph(3, [(0, 1, "a"), (1, 2, "b"), (0, 2, "c")]), _planted(4, trees=5, cross=4)]
+    refs = [_reference_brute(g) for g in graphs]
+    sets = connectivity._vertex_label_sets
+    calls = []
+    monkeypatch.setattr(connectivity, "_vertex_label_sets", lambda *args: calls.append(args) or sets(*args))
+    assert [brute_force_connectivity(g) for g in graphs] == refs
+    assert [cert.size for cert in refs] == [2, 4] and calls == []
+
+
 class TestDispatch:
     def test_disconnected(self, disconnected):
         cert = hedge_connectivity(disconnected)

@@ -9,7 +9,9 @@ package's connectivity kernel.  The singleton-hedge min cut is checked
 against networkx's Stoer-Wagner, on simple graphs and on multigraphs
 with parallel edges and loops, and every rank, the connectivity test
 and the classes a hedge contraction merges against networkx's
-components, where networkx is installed.
+components, where networkx is installed.  Above the enumeration cap,
+where the bipartition oracle cannot reach, every exact route is checked
+against a 0/1 program that scipy's HiGHS solves, where scipy is installed.
 """
 
 import random
@@ -19,12 +21,14 @@ import pytest
 from conftest import singleton_label_graphs
 from hedgecut import (
     GeneratorParams,
+    HedgeGraph,
     brute_force_connectivity,
     build_graph,
     contract_edge,
     contract_hedge,
     contraction_sequence,
     graph_rank_nullity,
+    hedge_connectivity,
     hedge_view,
     is_connected,
     ordinary_edge_min_cut,
@@ -146,3 +150,73 @@ def test_ranks_match_networkx_components():
             parallels += len({frozenset((u, v)) for u, v, _ in h.edges}) < h.m
     assert hedges > 400 and loops > 10 and parallels > 10 and disconnected > 10, (
         hedges, loops, parallels, disconnected)
+
+
+def milp_connectivity(n, edges):
+    """Least number of labels crossing a bipartition, as a 0/1 program: x_v is
+    vertex v's side (x_0 = 0, 1 <= sum x <= n - 1), y_l is 1 when label l is cut,
+    and y_l >= |x_u - x_v| for each non-loop edge (u, v, l); minimize sum y."""
+    pytest.importorskip("scipy", minversion="1.9")  # milp came in 1.9
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    num = 1 + max(lab for _, _, lab in edges)
+    rows = []
+    for u, v, lab in edges:
+        if u != v:
+            for a, b in ((u, v), (v, u)):  # y_l - x_a + x_b >= 0
+                row = np.zeros(n + num)
+                row[n + lab], row[a], row[b] = 1, -1, 1
+                rows.append(row)
+    rows.append(np.r_[np.ones(n), np.zeros(num)])
+    lower = np.r_[np.zeros(len(rows) - 1), 1]
+    upper = np.r_[np.full(len(rows) - 1, np.inf), n - 1]
+    result = milp(np.r_[np.zeros(n), np.ones(num)], integrality=np.ones(n + num),
+                  bounds=Bounds(0, np.r_[0, np.ones(n + num - 1)]),
+                  constraints=LinearConstraint(np.vstack(rows), lower, upper))
+    assert result.success, result.message
+    return round(result.fun)
+
+
+def _planted_halves(seed, cross):
+    """Two halves of 20-34 vertices, each 5 random spanning trees split into 2 labels
+    by edge parity, joined by ``cross`` <= 4 labels of 1-3 edges: 21-24 labels.
+    Removing at most 4 labels leaves a tree of each half whole, so only all the
+    cross labels cut: the connectivity is ``cross``.  Trees may share edges."""
+    rng = random.Random(seed)
+    sizes = (rng.randint(20, 34), rng.randint(20, 34))
+    verts = list(range(sum(sizes)))
+    rng.shuffle(verts)
+    halves = [verts[:sizes[0]], verts[sizes[0]:]]
+    edges = []
+    for h, half in enumerate(halves):
+        for t in range(5):
+            order = rng.sample(half, len(half))
+            edges += [(order[rng.randrange(i)], order[i], 10 * h + 2 * t + i % 2) for i in range(1, len(order))]
+    for c in range(cross):
+        edges += [(rng.choice(halves[0]), rng.choice(halves[1]), 20 + c) for _ in range(rng.randint(1, 3))]
+    return HedgeGraph(len(verts), tuple(edges), tuple(f"l{lab}" for lab in range(20 + cross)))
+
+
+def test_answers_above_the_cap_match_milp():
+    # the default dispatch runs trials here (not exact), enumeration with the cap
+    # raised and the singleton-hedge min cut are exact; every answer is a valid
+    # cut, so never below the optimum, and an exact one equals it
+    graphs = [(_planted_halves(10 * cross + seed, cross), cross) for cross in range(1, 5) for seed in range(3)]
+    for seed in range(4):  # one label per edge: random dense graphs of 39-52 edges
+        g = random_instance(GeneratorParams((10, 16), (25, 45), (1, 1), seed=seed))
+        graphs.append((HedgeGraph(g.n, tuple((u, v, i) for i, (u, v, _) in enumerate(g.edges)),
+                                  tuple(f"e{i}" for i in range(g.m))), None))
+    lams, exact = [], []
+    for g, planted in graphs:
+        assert g.num_labels > 20
+        lams.append(lam := milp_connectivity(g.n, g.edges))
+        assert planted in (None, lam)
+        certs = [hedge_connectivity(g)]
+        if g.num_labels < g.m:
+            certs.append(brute_force_connectivity(g, cap=g.num_labels))
+        for cert in certs:
+            assert validate_certificate(g, cert)
+            assert cert.size == lam if cert.exact else cert.size >= lam, (g.n, g.num_labels, cert)
+            exact.append(cert.exact)
+    assert exact.count(True) == 16 and exact.count(False) == 12 and max(lams[12:]) >= 4  # the full sweep runs too

@@ -21,18 +21,19 @@ one pass of the package's union-find (``graph._join``) over the kept
 forests; no loop rebuilds a graph.  A hedge cut contains a label of
 every spanning label set, so enumeration records the spanning sets its
 passes find (up to two disjoint ones per test) in a per-label bit index
-and skips, with one int AND, each subset that avoids one of them.  Every
-kernel returns only cut labels, and ``_certificate`` builds every
-certificate from the edges alone: side_a is vertex 0's class, 0, in
-``graph._merge`` of the edges the cut keeps.  ``cap``, the label count
-up to which enumeration runs, must be an int (not a bool).
+and skips, with one int AND, each subset that avoids one of them.
+``_certificate`` builds every certificate; side_a is vertex 0's class in
+the partition the kernel ends with (the splitting ``_join`` pass, the
+winning trial's classes, the sweep's side), else in ``graph._merge`` of
+the edges the cut keeps.  ``cap``, the label count up to which
+enumeration runs, and a trial seed must be ints (not bools).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .graph import (
@@ -41,6 +42,7 @@ from .graph import (
     GraphError,
     HedgeGraph,
     _by_label,
+    _classes,
     _forest,
     _join,
     _merge,
@@ -101,16 +103,19 @@ def _hedge_forests(g: HedgeGraph) -> Forests:
     return [_forest(pairs) for pairs in _by_label(g)]
 
 
-def _certificate(g: HedgeGraph, labels: frozenset[int], method: str, exact: bool) -> CutCertificate:
-    """The cut ``labels`` with side_a the component of vertex 0 once they are removed."""
-    vmap = _merge(g.n, [(u, v) for u, v, lab in g.edges if lab not in labels])
-    side_a = frozenset(v for v, c in enumerate(vmap) if c == 0)
+def _certificate(g: HedgeGraph, labels: frozenset[int], method: str, exact: bool,
+                 classes: Sequence[int] | None = None) -> CutCertificate:
+    """The cut ``labels``; side_a is vertex 0's class in ``classes``, the components the cut
+    leaves as its kernel found them, or by default in ``_merge`` of the edges the cut keeps."""
+    if classes is None:
+        classes = _merge(g.n, [(u, v) for u, v, lab in g.edges if lab not in labels])
+    side_a = frozenset(v for v, c in enumerate(classes) if c == classes[0])
     return CutCertificate(labels, side_a, frozenset(range(g.n)) - side_a, method, exact)
 
 
-def _check_cap(cap: int) -> None:
-    if type(cap) is not int:  # a bool is no cap
-        raise GraphError(f"enumeration cap must be an int, not {cap!r}")
+def _check_int(value: int, what: str) -> None:
+    if type(value) is not int:  # a bool is no cap or seed
+        raise GraphError(f"{what} must be an int, not {value!r}")
 
 
 _proven: HedgeGraph | None = None  # the last graph _connected proved connected
@@ -159,7 +164,7 @@ def brute_force_connectivity(g: HedgeGraph, cap: int = 20) -> CutCertificate:
     avoid it, and a last label ``c`` is skipped when ``free & ~holds[c]``
     is non-zero, one int AND per candidate.
     """
-    _check_cap(cap)
+    _check_int(cap, "enumeration cap")
     if not _connected(g):
         return _certificate(g, frozenset(), "brute", True)
     num = g.num_labels
@@ -179,9 +184,9 @@ def brute_force_connectivity(g: HedgeGraph, cap: int = 20) -> CutCertificate:
                 if free & ~holds[c]:
                     continue  # a recorded spanning set survives the removal
                 combo = prefix + (c,)
-                _, parts, used = _join(g.n, forests, combo, big_first)
+                parent, parts, used = _join(g.n, forests, combo, big_first)
                 if parts > 1:
-                    return _certificate(g, frozenset(combo), "brute", True)
+                    return _certificate(g, frozenset(combo), "brute", True, _classes(parent))
                 gone = pmask | 1 << c | used
                 _, parts, other = _join(g.n, forests, (),
                                         [lab for lab in big_first if not gone >> lab & 1])
@@ -302,10 +307,11 @@ def ordinary_edge_min_cut(g: HedgeGraph) -> CutCertificate:
     vmap = _merge(n, merges[:best[1]])
     side = [c == vmap[best[2]] for c in vmap]
     return _certificate(g, frozenset(lab for u, v, lab in g.edges if side[u] != side[v]),
-                        "fastpath", True)
+                        "fastpath", True, side)
 
 
-def _contraction_trial(n: int, forests: Forests, seed: int, limit: int | None = None) -> frozenset[int] | None:
+def _contraction_trial(n: int, forests: Forests, seed: int, limit: int | None = None,
+                       cls: list[int] | None = None) -> frozenset[int] | None:
     """The cut labels of one contraction trial on the flat forests of a connected graph.
 
     ``cls[v]`` is the class (super-vertex) of original vertex ``v``, named
@@ -318,10 +324,11 @@ def _contraction_trial(n: int, forests: Forests, seed: int, limit: int | None = 
     ``count - 1`` joins every class, stays so, and crosses the final two
     or more: it is retired into the cut, and ``live``, in label id order,
     is the safe list.  The final classes are the components left once the
-    returned labels are removed.  None once ``limit`` labels are retired.
+    returned labels are removed; a caller reads them from a ``cls`` it
+    passes as ``list(range(n))``.  None once ``limit`` labels are retired.
     """
     rng = Rng(seed)
-    cls = list(range(n))
+    cls = list(range(n)) if cls is None else cls
     members = [[v] for v in range(n)]
     count = n
     live = dict(enumerate(forests))  # ascending label id, the order of the safe list
@@ -369,11 +376,13 @@ def randomized_contraction_cut(g: HedgeGraph, seed: int) -> CutCertificate:
     loops is not retired: it stays a rank-0 pick that merges nothing, as
     dropping it would change the draw sequence.  The labels still
     crossing the final vertex groups form the candidate cut; side_a is
-    the group of vertex 0.
+    the group of vertex 0.  ``seed`` must be an int (not a bool).
     """
     if not _connected(g):
         raise GraphError("contraction trials require a connected graph")
-    return _certificate(g, _contraction_trial(g.n, _hedge_forests(g), seed), "randomized", False)
+    _check_int(seed, "trial seed")
+    cls = list(range(g.n))
+    return _certificate(g, _contraction_trial(g.n, _hedge_forests(g), seed, None, cls), "randomized", False, cls)
 
 
 def default_trial_count(num_labels: int) -> int:
@@ -405,9 +414,10 @@ def randomized_connectivity(g: HedgeGraph, trials: int | None = None,
     """Best certificate over independent seeded contraction trials.
 
     Trial t draws its seed from the documented mixer as mix(base_seed, t),
-    so the result depends only on (trials, base_seed).  Ties keep the
-    earliest trial.  With zero trials the minimum-degree-vertex cut is
-    returned as a fallback.
+    so the result depends only on (trials, base_seed), an int (not a bool)
+    whatever the trial count.  Ties keep the earliest trial, whose final
+    classes are the sides.  With zero trials the minimum-degree-vertex cut
+    is returned as a fallback.
 
     Trials that cannot change that answer are skipped.  A trial stops, with
     no cut, once it has retired as many labels as the best cut holds.  Once
@@ -421,19 +431,21 @@ def randomized_connectivity(g: HedgeGraph, trials: int | None = None,
         trials = default_trial_count(g.num_labels)
     if type(trials) is not int or trials < 0:  # a bool is no count
         raise GraphError(f"trial count must be a nonnegative int, not {trials!r}")
+    _check_int(base_seed, "trial seed")
     forests = _hedge_forests(g)
     packing, packed = _packing(g.n, forests), 0
     best: frozenset[int] | None = None
     for t in range(trials):
-        labels = _contraction_trial(g.n, forests, mix(base_seed, t), None if best is None else len(best))
+        cls = list(range(g.n))
+        labels = _contraction_trial(g.n, forests, mix(base_seed, t), None if best is None else len(best), cls)
         if best is None or labels is not None and len(labels) < len(best):
-            best = labels
+            best, sides = labels, cls
             packed += len(list(itertools.islice(packing, len(best) - packed)))
             if packed == len(best):
                 break  # the cut is minimum: no later trial finds a smaller one
     if best is None:
         return _degree_bound_certificate(g, _vertex_label_sets(g.n, g.edges))
-    return _certificate(g, best, "randomized", False)
+    return _certificate(g, best, "randomized", False, sides)
 
 
 def hedge_connectivity(g: HedgeGraph, method: str = "auto", cap: int = 20,
@@ -446,7 +458,7 @@ def hedge_connectivity(g: HedgeGraph, method: str = "auto", cap: int = 20,
     most ``cap`` labels go to brute force; anything else gets randomized
     trials (not exact).
     """
-    _check_cap(cap)
+    _check_int(cap, "enumeration cap")
     if method == "brute":
         return brute_force_connectivity(g, cap)
     connected = _connected(g)

@@ -15,9 +15,11 @@ the HG1 syntax.
 Two merge routines serve the whole package: ``_forest`` keeps a spanning
 forest of a sparse pair set and gives every rank; ``_join`` is the one
 union-find over all vertices 0..n-1 (connectivity and subset tests), and
-``_merge``, the one reader of its parent lists, gives every contraction's
-vertex map and every cut's sides.  Only a contraction trial relinks its
-own class lists, which ``_root`` slowed by a quarter.  ``_by_label`` is
+``_classes``, the one reader of its parent lists, gives an enumeration
+cut's sides and, in ``_merge``, every contraction's vertex map and the
+sides of the cuts no kernel partition comes with.  Only a contraction
+trial relinks its own class lists (``_root`` slowed it by a quarter),
+whose final classes are its cut's sides.  ``_by_label`` is
 the one grouping of edges by label (all views, forests, sequences),
 ``_vertex_label_sets`` the one label-degree count, of any edge list.
 ``build_graph`` builds every input graph, ``_rebuild`` every derived one,
@@ -198,9 +200,10 @@ def _join(n: int, forests: Forests, removed: Collection[int],
     """Union-find over 0..n-1 merging the pairs of the labels not removed.
 
     Returns (parents, class count, bit mask of the labels whose pairs
-    merged classes); ``_merge`` reads the classes from the parents.
+    merged classes); ``_classes`` reads the classes from the parents.
     Stops as soon as one class is left; the merging labels then span the
     graph.  ``order`` is the label visiting order.  Loops merge nothing.
+    A label's bit is set once, after its pairs, if the class count fell.
     """
     parent = list(range(n))
     parts = n
@@ -208,6 +211,7 @@ def _join(n: int, forests: Forests, removed: Collection[int],
     for lab in range(len(forests)) if order is None else order:
         if lab in removed:
             continue
+        before = parts
         for u, v in forests[lab]:
             while parent[u] != u:  # _root, inlined: this loop is the hot path
                 parent[u] = u = parent[parent[u]]
@@ -215,18 +219,23 @@ def _join(n: int, forests: Forests, removed: Collection[int],
                 parent[v] = v = parent[parent[v]]
             if u != v:
                 parent[u] = v
-                used |= 1 << lab
                 parts -= 1
                 if parts == 1:
-                    return parent, parts, used
+                    return parent, parts, used | 1 << lab
+        if parts != before:
+            used |= 1 << lab
     return parent, parts, used
 
 
-def _merge(n: int, pairs: list[tuple[int, int]]) -> tuple[int, ...]:
-    """Old-to-new vertex map merging ``pairs``: classes numbered by minimum member, ascending."""
-    parent, _, _ = _join(n, [pairs], ())
+def _classes(parent: list[int]) -> tuple[int, ...]:
+    """Old-to-new vertex map of a ``_join`` parent list: classes numbered by minimum member, ascending."""
     new_id: dict[int, int] = {}  # an ascending scan meets each class first at its minimum
-    return tuple(new_id.setdefault(_root(parent, v), len(new_id)) for v in range(n))
+    return tuple(new_id.setdefault(_root(parent, v), len(new_id)) for v in range(len(parent)))
+
+
+def _merge(n: int, pairs: list[tuple[int, int]]) -> tuple[int, ...]:
+    """Old-to-new vertex map merging ``pairs``: the ``_classes`` of one ``_join`` pass."""
+    return _classes(_join(n, [pairs], ())[0])
 
 
 def _by_label(g: HedgeGraph) -> Forests:
@@ -310,5 +319,5 @@ def remove_hedges(g: HedgeGraph, labels: Iterable[LabelRef]) -> HedgeGraph:
 
 
 def is_connected(g: HedgeGraph) -> bool:
-    """True iff the graph has a single connected component (loops ignored)."""
-    return _join(g.n, [[(u, v) for u, v, _ in g.edges]], ())[1] == 1
+    """True iff the graph has a single connected component (loops ignored); the pairs stream."""
+    return _join(g.n, [((u, v) for u, v, _ in g.edges)], ())[1] == 1

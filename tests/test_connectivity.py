@@ -2,6 +2,7 @@ import heapq
 import itertools
 import json
 import random
+import re
 import sys
 import time
 import tracemalloc
@@ -387,6 +388,25 @@ class TestRandomized:
         assert default_trial_count(8) == 256
 
 
+@pytest.mark.parametrize("call", [
+    lambda g, seed: randomized_connectivity(g, 8, seed),
+    lambda g, seed: randomized_connectivity(g, 0, seed),
+    lambda g, seed: randomized_connectivity(g, None, seed),
+    lambda g, seed: randomized_contraction_cut(g, seed),
+    lambda g, seed: hedge_connectivity(g, method="random", base_seed=seed),
+    lambda g, seed: hedge_connectivity(g, method="random", trials=0, base_seed=seed),
+], ids=["trials", "zero_trials", "default_trials", "one_trial", "random_dispatch", "random_zero"])
+@pytest.mark.parametrize("seed", [1.5, None, "7", True, False, 2.0])
+def test_trial_seed_must_be_an_int(call, seed, c4alt, monkeypatch):
+    # like the cap and the trial count, and like the generator's seed: a seed that is
+    # no int (a bool included) is refused before any trial runs, whatever the count
+    calls = []
+    monkeypatch.setattr(connectivity, "_contraction_trial", lambda *args: calls.append(args))
+    with pytest.raises(GraphError, match=f"^trial seed must be an int, not {re.escape(repr(seed))}$"):
+        call(c4alt, seed)
+    assert calls == []
+
+
 def _reference_trial(n, forests, seed):
     """The contraction trial as it was before hedges joining every class were retired:
     every step rebuilds each label whose stored length fails the bound and lists the
@@ -695,6 +715,57 @@ def test_enumeration_computes_no_degree_bound(monkeypatch):
     monkeypatch.setattr(connectivity, "_vertex_label_sets", lambda *args: calls.append(args) or sets(*args))
     assert [brute_force_connectivity(g) for g in graphs] == refs
     assert [cert.size for cert in refs] == [2, 4] and calls == []
+
+
+def _kept_component(g, labels):
+    """Vertex 0's component once ``labels`` are removed, by a union-find of the test's own."""
+    parent = list(range(g.n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for u, v, lab in g.edges:
+        if lab not in labels:
+            parent[find(u)] = find(v)
+    return frozenset(v for v in range(g.n) if find(v) == find(0))
+
+
+def test_every_routes_sides_are_the_component_of_vertex_0(monkeypatch):
+    # enumeration, the trials and the sweep each hand _certificate the partition
+    # their cut leaves, and build no second union-find over the kept edges for it;
+    # side_a is still vertex 0's component once the cut labels are removed
+    pool = [parse(inst["text"]) for inst in json.loads(EXACT_POOL.read_text(encoding="ascii"))["instances"]]
+    enumerated = [g for g in pool if g.num_labels != g.m]
+    swept = [g for g in pool if g.num_labels == g.m] + singleton_label_graphs()
+    assert len(enumerated) == 80 and len(swept) == 16 + 30
+    # with vertex ids reversed, some sweeps leave vertex 1 outside side_a
+    swept += [HedgeGraph(g.n, tuple((g.n - 1 - u, g.n - 1 - v, lab) for u, v, lab in g.edges), g.labels)
+              for g in swept]
+    oracle = [random_instance(GeneratorParams(*family, seed=1000 * f + seed))
+              for f, family in enumerate(FAMILIES) for seed in range(40)]
+    halves = [_two_halves(seed) for seed in range(20)]
+    merges = []
+    merge = connectivity._merge
+    monkeypatch.setattr(connectivity, "_merge", lambda *args: merges.append(args) or merge(*args))
+    routes = [("brute", g, lambda g: brute_force_connectivity(g, cap=g.num_labels), 0)
+              for g in enumerated + oracle]
+    routes += [(f"trials={trials}", g, lambda g, trials=trials: randomized_connectivity(g, trials, 3),
+                trials == 0) for g in halves + oracle for trials in (0, 1, 8, None)]
+    routes += [("one_trial", g, lambda g, seed=seed: randomized_contraction_cut(g, seed), 0)
+               for g in halves + oracle for seed in range(8)]
+    # one _merge call: the sweep's own class map, or _small_cut's certificate
+    routes += [("sweep", g, ordinary_edge_min_cut, 1) for g in swept]
+    split = dict.fromkeys((route for route, *_ in routes), 0)
+    for route, g, call, merged in routes:
+        merges.clear()
+        cert = call(g)
+        side_a = _kept_component(g, cert.labels)
+        assert (cert.side_a, cert.side_b) == (side_a, frozenset(range(g.n)) - side_a), (route, g, cert)
+        assert len(merges) == merged, (route, g, cert)
+        split[route] += 1 not in side_a  # vertex 1's class would differ here
+    assert min(split.values()) >= 5, split
 
 
 class TestDispatch:

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hedgecut import (
     GeneratorParams,
@@ -18,6 +18,7 @@ from hedgecut import (
     remove_hedges,
     search_counterexample,
 )
+from hedgecut.graph import _classes, _join
 
 
 class TestBuildGraph:
@@ -341,3 +342,59 @@ class TestIsConnected:
 
     def test_after_removal(self, c4alt):
         assert not is_connected(remove_hedges(c4alt, ["a"]))
+
+
+def _reference_join(n, forests, removed, order):
+    """One union-find pass that sets a label's bit at each merge and stops at one class:
+    (class count, merging labels, each vertex's class numbered by minimum member)."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def result():
+        ids = {}
+        return parts, used, tuple(ids.setdefault(find(v), len(ids)) for v in range(n))
+
+    parts, used = n, 0
+    for lab in range(len(forests)) if order is None else order:
+        if lab not in removed:
+            for u, v in forests[lab]:
+                a, b = find(u), find(v)
+                if a != b:
+                    parent[a] = b
+                    used |= 1 << lab
+                    parts -= 1
+                    if parts == 1:
+                        return result()
+    return result()
+
+
+@st.composite
+def _join_inputs(draw):
+    """n, any pairs by label (loops, parallels, cycles), removed labels, a visit order."""
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(0, 5))
+    vertex = st.integers(0, n - 1)
+    forests = [draw(st.lists(st.tuples(vertex, vertex), max_size=8)) for _ in range(k)]
+    removed = draw(st.frozensets(st.integers(0, max(k - 1, 0)), max_size=k))
+    return n, forests, removed, draw(st.none() | st.permutations(range(k)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_join_inputs())
+# one class is left midway through a label, with a label still to visit
+@example((3, [[(0, 0), (0, 1), (1, 2), (2, 0)], [(1, 2)]], frozenset(), None))
+@example((4, [[(2, 3)], [(0, 1), (0, 1)], [(1, 2), (3, 0)]], frozenset({0}), [2, 1, 0]))
+def test_join_matches_a_per_merge_reference(case):
+    # _join sets each label's bit once, after its pairs, and on an early exit; the
+    # class count, the mask, the classes and is_connected all match the reference
+    n, forests, removed, order = case
+    parent, parts, used = _join(n, forests, removed, order)
+    assert (parts, used, _classes(parent)) == _reference_join(n, forests, removed, order)
+    kept = [pairs for pairs in forests if pairs]  # every label of a graph has an edge
+    g = HedgeGraph(n, tuple((u, v, lab) for lab, pairs in enumerate(kept) for u, v in pairs),
+                   tuple(f"l{lab}" for lab in range(len(kept))))
+    assert is_connected(g) == (_reference_join(n, kept, (), None)[0] == 1)

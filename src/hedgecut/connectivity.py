@@ -5,9 +5,9 @@ hedges whose joint removal disconnects it.  Exact answers come from
 subset enumeration (smallest sets first, so its depth is reached at the
 connectivity, which the minimum label degree bounds) or, when every label
 has exactly one edge, from a deterministic global min-cut: cycle-space
-values answer a unique bridge or 2-edge cut directly, and otherwise prove
-a lower bound of 1, 2 or 3 at which the sweep stops, since no phase cuts
-below the connectivity and ties keep the earlier phase.
+values name a unique bridge or 2-edge cut for one pass to confirm, and
+otherwise prove a lower bound of 1, 2 or 3 at which the sweep stops,
+since no phase cuts below the connectivity and ties keep the earlier phase.
 Larger label sets fall back to seeded randomized hedge contraction,
 which yields an upper bound with a valid certificate.  Its trials stop at
 the best cut's size, and its loop once a packing proves that cut minimum;
@@ -21,12 +21,14 @@ one pass of the package's union-find (``graph._join``) over the kept
 forests; no loop rebuilds a graph.  A hedge cut contains a label of
 every spanning label set, so enumeration records the spanning sets its
 passes find (up to two disjoint ones per test) in a per-label bit index
-and skips, with one int AND, each subset that avoids one of them.
-``_certificate`` builds every certificate; side_a is vertex 0's class in
-the partition the kernel ends with (the splitting ``_join`` pass, the
-winning trial's classes, the sweep's side), else in ``graph._merge`` of
-the edges the cut keeps.  ``cap``, the label count up to which
-enumeration runs, and a trial seed must be ints (not bools).
+and skips, with one int AND, each subset that avoids one of them, and,
+with one AND per vertex, each search for a second set that leaves some
+vertex no label.  ``_certificate`` builds every certificate; side_a is
+vertex 0's class in the partition the kernel ends with (the splitting
+``_join`` pass, the winning trial's classes, the sweep's side or the pass
+confirming a small cut), else in ``graph._merge`` of the edges the cut
+keeps.  ``hedge_connectivity`` checks its arguments on entry: ``cap`` and
+a trial seed must be ints (not bools), a trial count None or an int >= 0.
 """
 
 from __future__ import annotations
@@ -118,6 +120,12 @@ def _check_int(value: int, what: str) -> None:
         raise GraphError(f"{what} must be an int, not {value!r}")
 
 
+def _check_trials(trials: int | None, base_seed: int) -> None:
+    if trials is not None and (type(trials) is not int or trials < 0):  # a bool is no count
+        raise GraphError(f"trial count must be a nonnegative int, not {trials!r}")
+    _check_int(base_seed, "trial seed")
+
+
 _proven: HedgeGraph | None = None  # the last graph _connected proved connected
 
 
@@ -157,7 +165,9 @@ def brute_force_connectivity(g: HedgeGraph, cap: int = 20) -> CutCertificate:
     labels it keeps, largest forests first.  When the kept labels connect
     the graph, the labels whose edges did the merging span it, and a
     second pass without them and the subset looks for a disjoint spanning
-    set; each set found is recorded.  A hedge cut contains a label of
+    set; each set found is recorded.  That pass cannot span when some
+    vertex keeps no label (``at[v]`` masks the labels touching v; one AND
+    each), so it is then skipped as failed.  A hedge cut contains a label of
     every spanning set, so a subset that avoids a recorded set is skipped
     untested.  ``holds[lab]`` has bit j set when set j contains ``lab``:
     each prefix of the first k - 1 labels keeps ``free``, the sets that
@@ -172,6 +182,10 @@ def brute_force_connectivity(g: HedgeGraph, cap: int = 20) -> CutCertificate:
         raise GraphError(f"label count {num} exceeds the enumeration cap {cap}")
     forests = _hedge_forests(g)
     big_first = sorted(range(num), key=lambda lab: -len(forests[lab]))
+    at = [0] * g.n  # at[v]: bit mask of the labels whose forest pairs touch v
+    for lab, pairs in enumerate(forests):
+        for v in itertools.chain(*pairs):
+            at[v] |= 1 << lab
     holds = [0] * num  # bit j set when spanning set j contains the label
     found = 0  # spanning sets recorded
     for k in range(1, num + 1):
@@ -187,9 +201,10 @@ def brute_force_connectivity(g: HedgeGraph, cap: int = 20) -> CutCertificate:
                 parent, parts, used = _join(g.n, forests, combo, big_first)
                 if parts > 1:
                     return _certificate(g, frozenset(combo), "brute", True, _classes(parent))
-                gone = pmask | 1 << c | used
-                _, parts, other = _join(g.n, forests, (),
-                                        [lab for lab in big_first if not gone >> lab & 1])
+                keep = ~(pmask | 1 << c | used)
+                parts = 2  # a vertex that no kept label touches stays alone: the pass would fail
+                if all(map(keep.__and__, at)):
+                    _, parts, other = _join(g.n, forests, (), [lab for lab in big_first if keep >> lab & 1])
                 for mask in (used, other) if parts == 1 else (used,):
                     while mask:  # both sets avoid the prefix, so both are free
                         low = mask & -mask
@@ -201,7 +216,7 @@ def brute_force_connectivity(g: HedgeGraph, cap: int = 20) -> CutCertificate:
 
 
 def _small_cut(n: int, edges: tuple[Edge, ...]) -> tuple[frozenset[int] | None, int]:
-    """A unique min cut of one or two edges, else None, and a lower bound on the connectivity.
+    """The only possible cut of one or two edges, else None, and a lower bound on the connectivity.
 
     Cycle-space sampling (Pritchard and Thurimella, 2011) on a connected
     graph with one edge per label: each non-tree edge of a BFS tree from
@@ -209,9 +224,9 @@ def _small_cut(n: int, edges: tuple[Edge, ...]) -> tuple[frozenset[int] | None, 
     tree edge takes the xor of the values whose tree cycle covers it, and
     loops get none.  A cut's values xor to 0 for every draw, so a bridge
     gets 0 and a 2-edge cut's edges share a value.  Hence the bound: 1 if
-    some value is 0, 3 if all differ or the one equal pair is no cut, else
-    2.  A lone 0 or lone equal pair that one ``_join`` pass confirms is the
-    only cut that small.
+    some value is 0, 3 if all differ, else 2.  A lone 0 or lone equal pair
+    is returned unconfirmed: if it cuts, it is the only cut that small, and
+    if not, the bound is one higher.
     """
     nbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for u, v, lab in edges:
@@ -236,18 +251,14 @@ def _small_cut(n: int, edges: tuple[Edge, ...]) -> tuple[frozenset[int] | None, 
     classes: dict[int, list[int]] = {}
     for lab, x in value.items():
         classes.setdefault(x, []).append(lab)
-
-    def cuts(labs: list[int]) -> bool:
-        return _join(n, [[(u, v) for u, v, lab in edges if lab not in labs]], ())[1] > 1
-
     if 0 in classes:
-        return (frozenset(classes[0]) if len(classes[0]) == 1 and cuts(classes[0]) else None), 1
+        return (frozenset(classes[0]) if len(classes[0]) == 1 else None), 1
     shared = [labs for labs in classes.values() if len(labs) > 1]
     if not shared:
         return None, 3
     if len(shared) > 1 or len(shared[0]) > 2:
         return None, 2
-    return (frozenset(shared[0]), 2) if cuts(shared[0]) else (None, 3)
+    return frozenset(shared[0]), 2
 
 
 def ordinary_edge_min_cut(g: HedgeGraph) -> CutCertificate:
@@ -260,12 +271,13 @@ def ordinary_edge_min_cut(g: HedgeGraph) -> CutCertificate:
     live in one dict per vertex (O(n + m) memory) and the sweep pops a lazy
     heap of ints ``vertex - weight * n``: heaviest first, ties to the smallest
     id.  ``_small_cut`` runs first, in O(n + m): a unique min cut of one or two
-    edges is returned without the sweep, since every exact method returns a
-    unique min cut.  Otherwise it proves a lower bound of 1, 2 or 3, and the
-    sweep stops at the first phase cutting it: no phase cuts below the
-    connectivity and ties keep the earlier phase, so the full sweep returns
-    the same cut.  At connectivity 4 or more all n - 1 phases run, O(m log n)
-    heap work each.
+    edges, confirmed by one ``_merge`` pass that also gives its sides, is
+    returned without the sweep, since every exact method returns a unique
+    min cut.  Otherwise it proves a lower bound of 1, 2 or 3 (one more when
+    its candidate does not cut), and the sweep stops at the first phase
+    cutting it: no phase cuts below the connectivity and ties keep the
+    earlier phase, so the full sweep returns the same cut.  At connectivity
+    4 or more all n - 1 phases run, O(m log n) heap work each.
     """
     connected = _connected(g)
     if g.num_labels != g.m:
@@ -275,7 +287,10 @@ def ordinary_edge_min_cut(g: HedgeGraph) -> CutCertificate:
     n = g.n
     cut, lower = _small_cut(n, g.edges)
     if cut is not None:
-        return _certificate(g, cut, "fastpath", True)
+        classes = _merge(n, [(u, v) for u, v, lab in g.edges if lab not in cut])
+        if any(classes):  # the candidate cuts: some vertex is outside vertex 0's class
+            return _certificate(g, cut, "fastpath", True, classes)
+        lower = len(cut) + 1
     adj: list[dict[int, int]] = [{} for _ in range(n)]  # vertex -> neighbour -> edge count
     for u, v, _ in g.edges:
         if u != v:
@@ -427,15 +442,11 @@ def randomized_connectivity(g: HedgeGraph, trials: int | None = None,
     """
     if not _connected(g):
         raise GraphError("contraction trials require a connected graph")
-    if trials is None:
-        trials = default_trial_count(g.num_labels)
-    if type(trials) is not int or trials < 0:  # a bool is no count
-        raise GraphError(f"trial count must be a nonnegative int, not {trials!r}")
-    _check_int(base_seed, "trial seed")
+    _check_trials(trials, base_seed)
     forests = _hedge_forests(g)
     packing, packed = _packing(g.n, forests), 0
     best: frozenset[int] | None = None
-    for t in range(trials):
+    for t in range(default_trial_count(g.num_labels) if trials is None else trials):
         cls = list(range(g.n))
         labels = _contraction_trial(g.n, forests, mix(base_seed, t), None if best is None else len(best), cls)
         if best is None or labels is not None and len(labels) < len(best):
@@ -459,6 +470,7 @@ def hedge_connectivity(g: HedgeGraph, method: str = "auto", cap: int = 20,
     trials (not exact).
     """
     _check_int(cap, "enumeration cap")
+    _check_trials(trials, base_seed)
     if method == "brute":
         return brute_force_connectivity(g, cap)
     connected = _connected(g)

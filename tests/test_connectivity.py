@@ -22,6 +22,7 @@ from hedgecut import (
     contract_hedge,
     contraction,
     default_trial_count,
+    graph,
     hedge_connectivity,
     hedge_view,
     is_connected,
@@ -333,6 +334,28 @@ def test_small_cut_answers_and_bounds():
     assert sum(lower == ordinary_edge_min_cut(g).size == 3 for g, lower in zip(graphs, bounds)) > 9
 
 
+def test_small_cut_answer_takes_one_union_find_pass(monkeypatch):
+    # _small_cut returns its candidate unconfirmed, and the one _merge pass over the
+    # edges it keeps both confirms it and gives the certificate's sides
+    pool = [parse(inst["text"]) for inst in json.loads(EXACT_POOL.read_text(encoding="ascii"))["instances"]]
+    graphs = [g for g in pool if g.num_labels == g.m]
+    assert len(graphs) == 16
+    graphs += [g for g in singleton_label_graphs() if connectivity._small_cut(g.n, g.edges)[0] is not None]
+    assert len(graphs) >= 16 + 10
+    passes = []
+    for module in (graph, connectivity):
+        join = module._join
+        monkeypatch.setattr(module, "_join", lambda *args, join=join: passes.append(args) or join(*args))
+    certs = []
+    for g in graphs:
+        assert connectivity._connected(g)  # the connectivity check is not counted
+        passes.clear()
+        certs.append(ordinary_edge_min_cut(g))
+        assert len(passes) == 1, (g, certs[-1])
+    monkeypatch.setattr(connectivity, "_small_cut", lambda n, edges: (None, 1))
+    assert certs == [ordinary_edge_min_cut(g) for g in graphs]  # the full sweep's answers
+
+
 class TestRandomized:
     def test_single_trial_is_valid(self, c4alt, triangle, spider):
         for g in (c4alt, triangle, spider):
@@ -404,6 +427,36 @@ def test_trial_seed_must_be_an_int(call, seed, c4alt, monkeypatch):
     monkeypatch.setattr(connectivity, "_contraction_trial", lambda *args: calls.append(args))
     with pytest.raises(GraphError, match=f"^trial seed must be an int, not {re.escape(repr(seed))}$"):
         call(c4alt, seed)
+    assert calls == []
+
+
+@pytest.mark.parametrize("route, cap", [
+    ("disconnected", 20), ("p3", 20), ("triangle", 20), ("c4alt", 20), ("c4alt", 1),
+], ids=["empty_cut", "degree_bound", "min_cut", "enumeration", "trials"])
+@pytest.mark.parametrize("trials, seed, message", [
+    (None, 1.5, "trial seed must be an int, not 1.5"),
+    (None, None, "trial seed must be an int, not None"),
+    (8, "7", "trial seed must be an int, not '7'"),
+    (0, True, "trial seed must be an int, not True"),
+    (-3, 0, "trial count must be a nonnegative int, not -3"),
+    (-3, 1.5, "trial count must be a nonnegative int, not -3"),
+    (2.0, 0, "trial count must be a nonnegative int, not 2.0"),
+    (True, 0, "trial count must be a nonnegative int, not True"),
+    ("8", 0, "trial count must be a nonnegative int, not '8'"),
+], ids=["seed_float", "seed_none", "seed_str", "seed_bool", "count_negative", "both_bad",
+        "count_float", "count_bool", "count_str"])
+def test_hedge_connectivity_checks_trial_arguments_on_every_route(route, cap, trials, seed, message,
+                                                                  request, monkeypatch):
+    # the trial count and seed are refused on entry, like the cap, whichever route the
+    # graph would take and whichever method is asked for, before any trial runs
+    g = request.getfixturevalue(route)
+    expected = {"disconnected": "fastpath", "p3": "fastpath", "triangle": "fastpath", "c4alt": "brute"}[route]
+    assert hedge_connectivity(g, cap=cap).method == (expected if cap == 20 else "randomized")
+    calls = []
+    monkeypatch.setattr(connectivity, "_contraction_trial", lambda *args: calls.append(args))
+    for method in ("auto", "brute", "random"):
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            hedge_connectivity(g, method=method, cap=cap, trials=trials, base_seed=seed)
     assert calls == []
 
 
@@ -715,6 +768,31 @@ def test_enumeration_computes_no_degree_bound(monkeypatch):
     monkeypatch.setattr(connectivity, "_vertex_label_sets", lambda *args: calls.append(args) or sets(*args))
     assert [brute_force_connectivity(g) for g in graphs] == refs
     assert [cert.size for cert in refs] == [2, 4] and calls == []
+
+
+def test_enumeration_runs_no_second_pass_that_leaves_a_vertex_unlabelled(monkeypatch):
+    # a search for a disjoint spanning set cannot succeed when a vertex keeps no label,
+    # so every such pass that runs visits labels touching every vertex; the answers are
+    # the reference's, which runs no such pass
+    pool = [parse(inst["text"]) for inst in json.loads(EXACT_POOL.read_text(encoding="ascii"))["instances"]]
+    graphs = [g for g in pool if g.num_labels != g.m]
+    assert len(graphs) == 80
+    graphs.append(_planted(4, trees=5, cross=4))
+    refs = [_reference_brute(g) for g in graphs]
+    second = []
+    join = connectivity._join
+
+    def counted(n, forests, removed, order=None):
+        result = join(n, forests, removed, order)
+        if removed == ():
+            touched = {x for lab in order for pair in forests[lab] for x in pair}
+            assert len(touched) == n, (n, sorted(touched))
+            second.append(result[1])
+        return result
+
+    monkeypatch.setattr(connectivity, "_join", counted)
+    assert [brute_force_connectivity(g) for g in graphs] == refs
+    assert 1 in second and any(parts > 1 for parts in second), second
 
 
 def _kept_component(g, labels):

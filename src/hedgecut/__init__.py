@@ -9,35 +9,19 @@ and hand-built instances.
 Importing the package loads the graph model, the HG1 format and the
 connectivity kernels; the auditor, the generator, contraction and
 relabeling load on first use of one of their names (PEP 562).
+
+Each public name is declared once outside its definition: in the
+``__all__`` of the eager module that defines it, which this package
+star-imports, or in ``_LAZY``.  The package ``__all__`` is their union.
 """
 
 from importlib import import_module
 
-from .connectivity import (
-    CutCertificate,
-    brute_force_connectivity,
-    default_trial_count,
-    hedge_connectivity,
-    min_label_degree_bound,
-    ordinary_edge_min_cut,
-    randomized_connectivity,
-    randomized_contraction_cut,
-    validate_certificate,
-)
-from .graph import (
-    GraphError,
-    HedgeGraph,
-    HedgeView,
-    build_graph,
-    degree_summary,
-    graph_rank_nullity,
-    hedge_view,
-    is_connected,
-    label_degree,
-    remove_hedges,
-)
-from .hgformat import ParseError, emit, parse
-from .rng import Rng, mix
+# a star import binds the names of its module's __all__, and the module itself for the list below
+from .connectivity import *
+from .graph import *
+from .hgformat import *
+from .rng import *
 
 # the public names of the modules that load on first use, by module
 _LAZY = {name: module for module, names in (
@@ -61,51 +45,4 @@ def __getattr__(name: str):
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AuditVerdict",
-    "ContractionStep",
-    "ContractionTrace",
-    "CutCertificate",
-    "GeneratorParams",
-    "GraphError",
-    "HedgeGraph",
-    "HedgeView",
-    "ParseError",
-    "Relabeling",
-    "Rng",
-    "SearchResult",
-    "TheoremId",
-    "UNIVERSAL_IDS",
-    "adjacency_graph",
-    "audit_theorem",
-    "brute_force_connectivity",
-    "build_graph",
-    "cleanup",
-    "contract_edge",
-    "contract_hedge",
-    "contraction_sequence",
-    "default_trial_count",
-    "degree_summary",
-    "emit",
-    "format_verdict",
-    "graph_rank_nullity",
-    "greedy_relabel",
-    "hedge_connectivity",
-    "hedge_view",
-    "instance_digest",
-    "is_connected",
-    "label_degree",
-    "max_adjacency_degree",
-    "min_label_degree_bound",
-    "mix",
-    "ordinary_edge_min_cut",
-    "parse",
-    "parse_verdict",
-    "random_instance",
-    "randomized_connectivity",
-    "randomized_contraction_cut",
-    "remove_hedges",
-    "search_counterexample",
-    "validate_certificate",
-    "verify_certificate",
-]
+__all__ = connectivity.__all__ + graph.__all__ + hgformat.__all__ + rng.__all__ + list(_LAZY)

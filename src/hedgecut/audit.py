@@ -26,7 +26,11 @@ Degree conventions are explicit: by default a loop contributes its
 label to its vertex once, and hedge degree totals use degrees measured
 in the whole graph.  Both alternative readings (loops ignored, degrees
 induced by the hedge's vertex set) are available as keyword modes and
-are recorded in verdict witnesses so re-checks replay them.
+are recorded in verdict witnesses so re-checks replay them; ``_Facts``
+applies both itself (it drops loop edges before ``graph._vertex_label_sets``
+counts), so the package's one label-degree helper has one convention.
+``audit_theorem`` and ``search_counterexample`` check the theorem id
+(``_theorem_id``) before any other work.
 """
 
 from __future__ import annotations
@@ -168,7 +172,9 @@ class _Facts:
         self.delta, self.big_delta = min(self.degrees), max(self.degrees)
 
     def degrees_of(self, n: int, edges: Sequence[Edge]) -> list[int]:
-        return [len(s) for s in _vertex_label_sets(n, edges, self.count_loops)]
+        if not self.count_loops:  # the loops-ignored reading drops loop edges before counting
+            edges = [e for e in edges if e[0] != e[1]]
+        return [len(s) for s in _vertex_label_sets(n, edges)]
 
     text = _lazy(lambda f: emit(f.g))
     digest = _lazy(lambda f: instance_digest(f.text))
@@ -317,6 +323,14 @@ _CLAIMS: dict[TheoremId, _Claim] = {
 UNIVERSAL_IDS = frozenset(theorem for theorem, claim in _CLAIMS.items() if claim.universal)
 
 
+def _theorem_id(value: Any) -> TheoremId:
+    """``value`` as a ``TheoremId``, else a GraphError naming it; callers check the id before other work."""
+    try:
+        return TheoremId(value)
+    except ValueError:
+        raise GraphError(f"unknown theorem id {value!r}") from None
+
+
 # The last graph audited, its modes and its facts, read and stored as one tuple;
 # the strong reference keeps the graph's id from being reused while it is here.
 _last: tuple[Any, Any, Any] = (None, None, None)
@@ -331,11 +345,11 @@ def audit_theorem(theorem: TheoremId, g: HedgeGraph, *, count_loops: bool = True
     modes are recorded in every witness so verification can replay them.
     """
     global _last
+    theorem = _theorem_id(theorem)
     last_g, last_modes, f = _last
     if last_g is not g or last_modes != (count_loops, induced_degrees):
         f = _Facts(g, count_loops, induced_degrees)
         _last = (g, (count_loops, induced_degrees), f)
-    theorem = TheoremId(theorem)
     claim = _CLAIMS[theorem]
     return [AuditVerdict(theorem, f.text, f.digest, *record) for record in claim.records(f, claim.items(f))]
 
@@ -447,6 +461,7 @@ def search_counterexample(theorem: TheoremId, params: GeneratorParams,
     size); trial t generates its instance from mix(params.seed, t), so
     the verdict stream is reproducible.  Stops at the first violation.
     """
+    theorem = _theorem_id(theorem)
     if type(trials) is not int or trials < 1:  # a bool is no count
         raise GraphError(f"at least one trial is required, counted by an int, not {trials!r}")
     _check_ranges(params)

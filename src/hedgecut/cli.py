@@ -9,7 +9,9 @@ seed where --seed is not given.
 
 Importing this module loads only what the connectivity command runs; every
 other command imports the modules it needs (auditor, generator, contraction,
-relabeling) when it runs.
+relabeling) when it runs.  The audit command calls ``audit.audit_theorem``
+through the module, so a value set there (a test's stub) wins; the package's
+``__getattr__`` is the one lazy loader.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import functools
 import os
 import sys
 from dataclasses import replace
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .connectivity import hedge_connectivity
 from .graph import GraphError, HedgeGraph, _hedge_views, _vertex_label_sets, graph_rank_nullity
@@ -29,15 +31,6 @@ from .rng import mix
 if TYPE_CHECKING:
     from .audit import TheoremId
     from .generator import GeneratorParams
-
-
-def __getattr__(name: str) -> Any:
-    """``cli.audit_theorem`` loads the auditor on first read; ``_cmd_audit`` reads
-    the name as an attribute of this module, so a value set here wins."""
-    if name == "audit_theorem":
-        from .audit import audit_theorem
-        return audit_theorem
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _load(path: str) -> HedgeGraph:
@@ -154,13 +147,8 @@ def _cmd_relabel(args: argparse.Namespace) -> int:
 
 
 def _theorem_selection(value: str) -> list[TheoremId]:
-    from .audit import TheoremId
-    if value == "all":
-        return list(TheoremId)
-    try:
-        return [TheoremId(value)]
-    except ValueError:
-        raise GraphError(f"unknown theorem id {value!r}") from None
+    from .audit import TheoremId, _theorem_id
+    return list(TheoremId) if value == "all" else [_theorem_id(value)]
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
@@ -168,10 +156,9 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         raise GraphError("audit needs exactly one of: an instance file, or --random")
     if args.random and args.trials < 1:
         raise GraphError("--trials must be at least 1 with --random")
-    from .audit import UNIVERSAL_IDS, format_verdict
+    from . import audit  # read audit.audit_theorem when called: a value set there wins
     from .generator import random_instance
     ids = _theorem_selection(args.theorem)
-    audit_theorem = sys.modules[__name__].audit_theorem  # a value set on cli wins over __getattr__
     if args.file is not None:
         instances: Iterable[HedgeGraph] = [_load(args.file)]
     else:
@@ -181,9 +168,9 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     broken_universal = False
     for g in instances:
         for theorem in ids:
-            for v in audit_theorem(theorem, g):
-                sys.stdout.write(format_verdict(v))
-                if not v.holds and theorem in UNIVERSAL_IDS:
+            for v in audit.audit_theorem(theorem, g):
+                sys.stdout.write(audit.format_verdict(v))
+                if not v.holds and theorem in audit.UNIVERSAL_IDS:
                     broken_universal = True
     return 1 if broken_universal else 0
 

@@ -27,8 +27,9 @@ vertex no label.  ``_certificate`` builds every certificate; side_a is
 vertex 0's class in the partition the kernel ends with (the splitting
 ``_join`` pass, the winning trial's classes, the sweep's side or the pass
 confirming a small cut), else in ``graph._merge`` of the edges the cut
-keeps.  ``hedge_connectivity`` checks its arguments on entry: ``cap`` and
-a trial seed must be ints (not bools), a trial count None or an int >= 0.
+keeps.  ``hedge_connectivity`` checks its arguments on entry: the method
+is auto, brute or random, ``cap`` and a trial seed are ints (not bools),
+a trial count None or an int >= 0.
 """
 
 from __future__ import annotations
@@ -52,6 +53,10 @@ from .graph import (
     is_connected,
 )
 from .rng import Rng, mix
+
+__all__ = ["CutCertificate", "brute_force_connectivity", "default_trial_count", "hedge_connectivity",
+           "min_label_degree_bound", "ordinary_edge_min_cut", "randomized_connectivity",
+           "randomized_contraction_cut", "validate_certificate"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -467,25 +472,24 @@ def hedge_connectivity(g: HedgeGraph, method: str = "auto", cap: int = 20,
     degree 1 forces connectivity exactly 1 (every vertex of a single-label
     graph is one); singleton hedges go to the deterministic min cut; at
     most ``cap`` labels go to brute force; anything else gets randomized
-    trials (not exact).
+    trials (not exact).  The method, cap, trial count and seed are checked
+    before the graph is read.
     """
+    if method not in ("auto", "brute", "random"):
+        raise GraphError(f"unknown method {method!r}")
     _check_int(cap, "enumeration cap")
     _check_trials(trials, base_seed)
     if method == "brute":
         return brute_force_connectivity(g, cap)
-    connected = _connected(g)
-    if method not in ("auto", "random"):
-        raise GraphError(f"unknown method {method!r}")
-    if not connected:
+    if not _connected(g):
         return _certificate(g, frozenset(), "fastpath", True)
-    if method == "random":
-        return randomized_connectivity(g, trials, base_seed)
-    sets = _vertex_label_sets(g.n, g.edges)
-    if min(len(s) for s in sets) == 1:
-        # all edges at such a vertex carry one label; removing it isolates the vertex
-        return _degree_bound_certificate(g, sets, exact=True)
-    if g.num_labels == g.m:
-        return ordinary_edge_min_cut(g)
-    if g.num_labels <= cap:
-        return brute_force_connectivity(g, cap)
+    if method == "auto":
+        sets = _vertex_label_sets(g.n, g.edges)
+        if min(len(s) for s in sets) == 1:
+            # all edges at such a vertex carry one label; removing it isolates the vertex
+            return _degree_bound_certificate(g, sets, exact=True)
+        if g.num_labels == g.m:
+            return ordinary_edge_min_cut(g)
+        if g.num_labels <= cap:
+            return brute_force_connectivity(g, cap)
     return randomized_connectivity(g, trials, base_seed)

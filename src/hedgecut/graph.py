@@ -21,15 +21,20 @@ sides of the cuts no kernel partition comes with.  Only a contraction
 trial relinks its own class lists (``_root`` slowed it by a quarter),
 whose final classes are its cut's sides.  ``_by_label`` is
 the one grouping of edges by label (all views, forests, sequences),
-``_vertex_label_sets`` the one label-degree count, of any edge list.
-``build_graph`` builds every input graph, ``_rebuild`` every derived one,
-and nothing else constructs a ``HedgeGraph``.
+``_vertex_label_sets`` the one label-degree count, of any edge list, in
+one convention (a loop counts once; the audit's loops-ignored reading
+drops loops itself).  ``build_graph`` builds every input graph,
+``_rebuild`` every derived one, and nothing else constructs a
+``HedgeGraph``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Collection, Iterable, Union
+
+__all__ = ["GraphError", "HedgeGraph", "HedgeView", "build_graph", "degree_summary", "graph_rank_nullity",
+           "hedge_view", "is_connected", "label_degree", "remove_hedges"]
 
 Edge = tuple[int, int, int]  # (u, v, label id)
 LabelRef = Union[int, str]
@@ -273,17 +278,15 @@ def graph_rank_nullity(g: HedgeGraph) -> tuple[int, int]:
     return rank, g.m - rank
 
 
-def _vertex_label_sets(n: int, edges: Iterable[Edge], count_loops: bool = True) -> list[set[int]]:
+def _vertex_label_sets(n: int, edges: Iterable[Edge]) -> list[set[int]]:
     """Incident label sets of vertices 0..n-1: the one label-degree convention.
 
-    A loop adds its label to its vertex once, or not at all without
-    ``count_loops``.  ``edges`` need not form a valid graph: a contracted
-    list, whose label ids skip the contracted one, is counted as it is.
+    A loop adds its label to its vertex once.  ``edges`` need not form a
+    valid graph: a contracted list, whose label ids skip the contracted
+    one, is counted as it is.
     """
     sets: list[set[int]] = [set() for _ in range(n)]
     for u, v, lab in edges:
-        if u == v and not count_loops:
-            continue
         sets[u].add(lab)
         sets[v].add(lab)
     return sets

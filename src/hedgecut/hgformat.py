@@ -28,6 +28,8 @@ import re
 
 from .graph import _MAX_VERTICES, GraphError, HedgeGraph, build_graph
 
+__all__ = ["ParseError", "emit", "parse"]
+
 
 class ParseError(GraphError):
     """HG1 text rejected; ``line`` is the offending 1-based line number."""

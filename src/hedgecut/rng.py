@@ -18,6 +18,8 @@ ranges used here and keeps the sequence trivial to reproduce elsewhere.
 
 from __future__ import annotations
 
+__all__ = ["Rng", "mix"]
+
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 

@@ -28,6 +28,30 @@ def test_exported_names():
         assert hasattr(hedgecut, name), name
 
 
+EAGER = ("connectivity", "graph", "hgformat", "rng")
+
+
+def test_each_public_name_is_declared_once_in_its_home_module():
+    # an eager module's __all__ lists only what it defines, a _LAZY entry names a
+    # module that defines it, and the package list is their union with no repeats
+    declared = []
+    for module_name in EAGER:
+        module = importlib.import_module(f"hedgecut.{module_name}")
+        for name in module.__all__:
+            value = getattr(module, name)
+            assert getattr(value, "__module__", None) == module.__name__, (module_name, name)
+            assert getattr(hedgecut, name) is value, name
+        declared += module.__all__
+    for name, module_name in hedgecut._LAZY.items():
+        value = getattr(importlib.import_module(f"hedgecut.{module_name}"), name)
+        if name != "UNIVERSAL_IDS":  # a frozenset has no __module__ of its own
+            assert callable(value) and value.__module__ == f"hedgecut.{module_name}", (module_name, name)
+    declared += hedgecut._LAZY
+    assert len(set(hedgecut.__all__)) == len(hedgecut.__all__)
+    assert len(set(declared)) == len(declared)
+    assert set(hedgecut.__all__) == set(declared)
+
+
 def test_traced_functions_exist():
     # the benchmark's --trace run wraps these by name; read its table, do not run it
     tree = ast.parse(SPANS.read_text(encoding="utf-8"))

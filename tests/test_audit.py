@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 import sys
 import tracemalloc
 from pathlib import Path
@@ -932,6 +933,19 @@ class TestSearch:
                                       "419b10654c615b7c2dbe41e1edfdc7e6")
         assert found.found.witness["induced_degrees"] is True
         assert verify_certificate(found.found)
+
+    @pytest.mark.parametrize("theorem", ["NOPE", "t1_min_deg_bound", "", None, 1])
+    def test_unknown_theorem_id_is_refused_before_any_work(self, theorem, monkeypatch):
+        # the id is checked on entry: no facts are built and no instance is generated
+        def refuse(*args, **kwargs):
+            raise AssertionError("work before the theorem id was checked")
+        monkeypatch.setattr(hedgecut.audit, "_Facts", refuse)
+        monkeypatch.setattr(hedgecut.audit, "random_instance", refuse)
+        message = f"^unknown theorem id {re.escape(repr(theorem))}$"
+        with pytest.raises(GraphError, match=message):
+            audit_theorem(theorem, build_graph(3, [(0, 1, "a"), (1, 2, "b")]))
+        with pytest.raises(GraphError, match=message):
+            search_counterexample(theorem, GeneratorParams(), 1)
 
     def test_requires_at_least_one_trial(self):
         with pytest.raises(GraphError, match="at least one"):

@@ -231,7 +231,7 @@ class TestAudit:
         text = "HG1 2 1\n0 1 a\n"
         fake = AuditVerdict(TheoremId.VD_EQUALITY, text, instance_digest(text),
                             False, 1, 2, None)
-        monkeypatch.setattr(cli, "audit_theorem", lambda theorem, g: [fake])
+        monkeypatch.setattr("hedgecut.audit.audit_theorem", lambda theorem, g: [fake])
         assert cli.main(["audit", C4ALT, "--theorem", "VD_EQUALITY"]) == 1
         assert "holds=false" in capsys.readouterr().out
 
@@ -242,7 +242,7 @@ class TestAudit:
         text = "HG1 2 1\n0 1 a\n"
         fake = AuditVerdict(TheoremId.RANKSUM_STATIC, text, instance_digest(text),
                             False, 1, 2, None)
-        monkeypatch.setattr(cli, "audit_theorem", lambda theorem, g: [fake])
+        monkeypatch.setattr("hedgecut.audit.audit_theorem", lambda theorem, g: [fake])
         assert cli.main(["audit", C4ALT, "--theorem", "RANKSUM_STATIC"]) == 0
         # the real audit of c4alt refutes this claim too, so only the stub's record tells them apart
         assert capsys.readouterr().out == format_verdict(fake)

@@ -460,6 +460,20 @@ def test_hedge_connectivity_checks_trial_arguments_on_every_route(route, cap, tr
     assert calls == []
 
 
+@pytest.mark.parametrize("route", ["single_vertex", "disconnected", "p3"])
+def test_unknown_method_is_refused_before_the_graph_is_read(route, request, monkeypatch):
+    # the method is checked on entry with the cap and the trial arguments, so no
+    # connectivity pass runs and a single vertex gets the method's message too
+    g = build_graph(1, []) if route == "single_vertex" else request.getfixturevalue(route)
+    calls = []
+    monkeypatch.setattr(connectivity, "is_connected", lambda g: calls.append(g))
+    monkeypatch.setattr(connectivity, "_proven", None)
+    for method in ("magic", "", "Auto", None):
+        with pytest.raises(GraphError, match=f"^unknown method {re.escape(repr(method))}$"):
+            hedge_connectivity(g, method=method)
+    assert calls == []
+
+
 def _reference_trial(n, forests, seed):
     """The contraction trial as it was before hedges joining every class were retired:
     every step rebuilds each label whose stored length fails the bound and lists the

@@ -1,6 +1,9 @@
 """Executable adjudication of the structural claims about hedge graphs.
 
-Each claim gets an identifier and one row of ``_CLAIMS``: ``record`` computes
+``_CLAIMS`` is the catalog: one row per claim, keyed by its id, in catalog
+order.  ``TheoremId`` is built from its keys, so adding a claim takes one row,
+and ``_theorem_id`` is the one conversion of outside text (a CLI argument, a
+verdict header, a caller's value) to an id.  In a row, ``record`` computes
 both sides of the stated relation for one item (hedge, edge, pair or order,
 or the one item of a single-record claim) of a concrete instance, ``items``
 lists the items, ``key`` gives the witness entries that name an item, and
@@ -29,8 +32,8 @@ induced by the hedge's vertex set) are available as keyword modes and
 are recorded in verdict witnesses so re-checks replay them; ``_Facts``
 applies both itself (it drops loop edges before ``graph._vertex_label_sets``
 counts), so the package's one label-degree helper has one convention.
-``audit_theorem`` and ``search_counterexample`` check the theorem id
-(``_theorem_id``) before any other work.
+``audit_theorem``, ``search_counterexample`` and ``verify_certificate``
+check the theorem id (``_theorem_id``) before any other work.
 """
 
 from __future__ import annotations
@@ -52,28 +55,6 @@ from .hgformat import ParseError, emit, parse
 from .rng import Rng, mix
 
 _ORDER_DRAWS = 5  # label shuffles per instance for the per-order claims; repeats are kept once
-
-
-class TheoremId(str, Enum):
-    T1_MIN_DEG_BOUND = "T1_MIN_DEG_BOUND"
-    T2_RELABEL_GE_MAXDEG = "T2_RELABEL_GE_MAXDEG"
-    T3_DA_LE_TOTAL = "T3_DA_LE_TOTAL"
-    T4_MAXDA_GE_MAXDEG = "T4_MAXDA_GE_MAXDEG"
-    T5_RELABEL_GE_MAXDA = "T5_RELABEL_GE_MAXDA"
-    VIZING_BAND = "VIZING_BAND"
-    COROLLARY_CHAIN = "COROLLARY_CHAIN"
-    RANKSUM_STATIC = "RANKSUM_STATIC"
-    RANKSUM_SEQ = "RANKSUM_SEQ"
-    NULLSUM_STATIC = "NULLSUM_STATIC"
-    NULLSUM_SEQ = "NULLSUM_SEQ"
-    VD_EQUALITY = "VD_EQUALITY"
-    SPANSUM_UPPER = "SPANSUM_UPPER"
-    SPANSUM_BAND = "SPANSUM_BAND"
-    CONTRACTV_BAND = "CONTRACTV_BAND"
-    CONTRACT_MIN = "CONTRACT_MIN"
-    CONTRACT_H = "CONTRACT_H"
-    CONTRACT_SUM = "CONTRACT_SUM"
-    CONTRACT_ADJ = "CONTRACT_ADJ"
 
 
 @dataclass(frozen=True, slots=True)
@@ -278,49 +259,49 @@ _ORDERS = (lambda f: f.orders, lambda f, order: {"order": list(order)})
 # under == (an edge 1.0 for 1) gets a record whose witness _same tells apart.  Rows
 # call package functions by their module names when they run and store none, so
 # what replaces hedgecut.audit.<name> (a test, a tracer) sees every call.
-_CLAIMS: dict[TheoremId, _Claim] = {
-    TheoremId.T1_MIN_DEG_BOUND: _Claim(lambda f, _: _record(le, f.lam, f.delta), universal=True),
-    TheoremId.T2_RELABEL_GE_MAXDEG: _Claim(lambda f, _: _record(ge, f.q, f.big_delta, f.q_witness),
-                                           universal=True),
-    TheoremId.T3_DA_LE_TOTAL: _Claim(lambda f, i: _record(le, len(f.adj[i]), f.totals[i]), *_HEDGES,
-                                     universal=True),
-    TheoremId.T4_MAXDA_GE_MAXDEG: _Claim(lambda f, _: _record(ge, f.max_da, f.big_delta)),
-    TheoremId.T5_RELABEL_GE_MAXDA: _Claim(lambda f, _: _record(ge, f.q, f.max_da, f.q_witness)),
-    TheoremId.VIZING_BAND: _Claim(lambda f, _: _record(_within, f.q, [f.max_da, f.max_da + 1], f.q_witness)),
+_CLAIMS = {
+    "T1_MIN_DEG_BOUND": _Claim(lambda f, _: _record(le, f.lam, f.delta), universal=True),
+    "T2_RELABEL_GE_MAXDEG": _Claim(lambda f, _: _record(ge, f.q, f.big_delta, f.q_witness), universal=True),
+    "T3_DA_LE_TOTAL": _Claim(lambda f, i: _record(le, len(f.adj[i]), f.totals[i]), *_HEDGES, universal=True),
+    "T4_MAXDA_GE_MAXDEG": _Claim(lambda f, _: _record(ge, f.max_da, f.big_delta)),
+    "T5_RELABEL_GE_MAXDA": _Claim(lambda f, _: _record(ge, f.q, f.max_da, f.q_witness)),
+    "VIZING_BAND": _Claim(lambda f, _: _record(_within, f.q, [f.max_da, f.max_da + 1], f.q_witness)),
     # the chain lambda <= delta <= Delta <= max_dA <= q holds when it is already sorted
-    TheoremId.COROLLARY_CHAIN: _Claim(lambda f, _: _record(lambda chain, _: chain == sorted(chain),
-                                                           [f.lam, f.delta, f.big_delta, f.max_da, f.q],
-                                                           None, f.q_witness)),
-    TheoremId.RANKSUM_STATIC: _Claim(lambda f, _: _record(eq, f.rank_nullity[0], sum(v.rank for v in f.views))),
-    TheoremId.RANKSUM_SEQ: _Claim(lambda f, order: _record(eq, f.rank_nullity[0], f.sums(order)[0]), *_ORDERS,
-                                  universal=True),
-    TheoremId.NULLSUM_STATIC: _Claim(lambda f, _: _record(eq, f.rank_nullity[1],
-                                                          sum(v.nullity for v in f.views))),
-    TheoremId.NULLSUM_SEQ: _Claim(lambda f, order: _record(eq, f.rank_nullity[1], f.sums(order)[1]), *_ORDERS,
-                                  universal=True),
-    TheoremId.VD_EQUALITY: _Claim(lambda f, _: _record(eq, sum(len(v.vertex_set) for v in f.views),
-                                                       sum(f.degrees)), universal=True),
-    TheoremId.SPANSUM_UPPER: _Claim(lambda f, _: _record(le, f.span_sum, 2 * f.g.m - f.g.n + 1),
-                                    universal=True),
-    TheoremId.SPANSUM_BAND: _Claim(lambda f, _: _record(
+    "COROLLARY_CHAIN": _Claim(lambda f, _: _record(lambda chain, _: chain == sorted(chain),
+                                                   [f.lam, f.delta, f.big_delta, f.max_da, f.q],
+                                                   None, f.q_witness)),
+    "RANKSUM_STATIC": _Claim(lambda f, _: _record(eq, f.rank_nullity[0], sum(v.rank for v in f.views))),
+    "RANKSUM_SEQ": _Claim(lambda f, order: _record(eq, f.rank_nullity[0], f.sums(order)[0]), *_ORDERS,
+                          universal=True),
+    "NULLSUM_STATIC": _Claim(lambda f, _: _record(eq, f.rank_nullity[1], sum(v.nullity for v in f.views))),
+    "NULLSUM_SEQ": _Claim(lambda f, order: _record(eq, f.rank_nullity[1], f.sums(order)[1]), *_ORDERS,
+                          universal=True),
+    "VD_EQUALITY": _Claim(lambda f, _: _record(eq, sum(len(v.vertex_set) for v in f.views), sum(f.degrees)),
+                          universal=True),
+    "SPANSUM_UPPER": _Claim(lambda f, _: _record(le, f.span_sum, 2 * f.g.m - f.g.n + 1), universal=True),
+    "SPANSUM_BAND": _Claim(lambda f, _: _record(
         _within, f.span_sum, [f.g.n * f.delta - f.g.n + 1, f.g.n * f.big_delta - f.g.n + 1])),
-    TheoremId.CONTRACTV_BAND: _Claim(
+    "CONTRACTV_BAND": _Claim(
         _edge_band, lambda f: [idx for idx, (u, v, _) in enumerate(f.g.edges) if u != v],
         lambda f, idx: {"edge": idx}),
-    TheoremId.CONTRACT_MIN: _Claim(lambda f, i: _record(ge, min(f.after(i)), f.delta - 1), *_HEDGES,
-                                   universal=True),
-    TheoremId.CONTRACT_H: _Claim(lambda f, i: _record(
+    "CONTRACT_MIN": _Claim(lambda f, i: _record(ge, min(f.after(i)), f.delta - 1), *_HEDGES, universal=True),
+    "CONTRACT_H": _Claim(lambda f, i: _record(
         le, sum(f.after(i)), sum(f.degrees) - 2 * f.views[i].rank), *_HEDGES),
-    TheoremId.CONTRACT_SUM: _Claim(lambda f, i: _record(
+    "CONTRACT_SUM": _Claim(lambda f, i: _record(
         le, sum(f.degrees), sum(f.after(i)) + f.totals[i] - f.views[i].span * (f.delta - 1)), *_HEDGES,
         universal=True),
-    TheoremId.CONTRACT_ADJ: _Claim(
+    "CONTRACT_ADJ": _Claim(
         _adjacency_after, lambda f: permutations(range(f.g.num_labels), 2),
         lambda f, pair: {"contracted": f.g.labels[pair[0]], "hedge": f.g.labels[pair[1]]}),
 }
 
+# The catalog's ids, in row order: each member is a str equal to its name, so its text
+# finds its row too.  The table is then keyed by the members, so iterating it yields them.
+TheoremId = Enum("TheoremId", [(name, name) for name in _CLAIMS], type=str, module=__name__)
+_CLAIMS: dict[TheoremId, _Claim] = dict(zip(TheoremId, _CLAIMS.values()))
+
 # The claims whose violation is an internal error, not a finding.
-UNIVERSAL_IDS = frozenset(theorem for theorem, claim in _CLAIMS.items() if claim.universal)
+UNIVERSAL_IDS = frozenset(theorem for theorem in TheoremId if _CLAIMS[theorem].universal)
 
 
 def _theorem_id(value: Any) -> TheoremId:
@@ -395,9 +376,9 @@ def parse_verdict(text: str) -> AuditVerdict:
     if missing:
         raise ParseError(1, f"missing fields: {', '.join(sorted(missing))}")
     try:
-        theorem = TheoremId(fields["theorem"])
-    except ValueError:
-        raise ParseError(1, f"unknown theorem id {fields['theorem']!r}") from None
+        theorem = _theorem_id(fields["theorem"])
+    except GraphError as exc:
+        raise ParseError(1, str(exc)) from None
     if fields["holds"] not in ("true", "false"):
         raise ParseError(1, "holds must be true or false")
     try:
@@ -422,13 +403,15 @@ def parse_verdict(text: str) -> AuditVerdict:
 def verify_certificate(v: AuditVerdict) -> bool:
     """Recompute a verdict from its serialized instance and confirm it.
 
-    Only the item whose key the witness holds (hedge, edge, contracted and
+    An unknown theorem id raises GraphError before any other check.  Only
+    the item whose key the witness holds (hedge, edge, contracted and
     hedge, or order) is recomputed, on a graph parsed afresh.  Returns False
     when the digest does not match the instance text, when the witness names
     no item of the claim, or when the fresh record disagrees on (holds, lhs,
     rhs, witness), JSON types included: ``1.0`` and ``true`` are not ``1``.
     Malformed instance text raises ParseError.
     """
+    claim = _CLAIMS[_theorem_id(v.theorem)]
     if instance_digest(v.instance_text) != v.digest:
         return False
     g = parse(v.instance_text)
@@ -437,7 +420,7 @@ def verify_certificate(v: AuditVerdict) -> bool:
         facts = _Facts(g, witness.get("count_loops") is not False, witness.get("induced_degrees") is True)
     except GraphError:
         return False
-    claim, want = _CLAIMS[TheoremId(v.theorem)], [v.holds, v.lhs, v.rhs, v.witness]
+    want = [v.holds, v.lhs, v.rhs, v.witness]
     return any(_same([*fresh], want) for fresh in claim.records(facts, claim.named(facts, witness)))
 
 

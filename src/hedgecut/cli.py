@@ -1,11 +1,11 @@
 """Command line surface: stats, connectivity, contract, relabel, audit, generate.
 
 All output is plain text and deterministic given the arguments.  Usage
-and input errors exit with status 2; the audit command exits with
-status 1 when a claim from the provably-universal set is violated
-(violations of the refutable claims are findings, reported with exit 0).
-The optional HEDGECUT_SEED environment variable supplies the default
-seed where --seed is not given.
+and input errors, and a reader that closes stdout early (no message), exit
+with status 2; the audit command exits with status 1 when a claim from the
+provably-universal set is violated (violations of the refutable claims are
+findings, reported with exit 0).  The optional HEDGECUT_SEED environment
+variable supplies the default seed where --seed is not given.
 
 Importing this module loads only what the connectivity command runs; every
 other command imports the modules it needs (auditor, generator, contraction,
@@ -29,7 +29,6 @@ from .hgformat import ParseError, emit, parse
 from .rng import mix
 
 if TYPE_CHECKING:
-    from .audit import TheoremId
     from .generator import GeneratorParams
 
 
@@ -146,11 +145,6 @@ def _cmd_relabel(args: argparse.Namespace) -> int:
     return 0
 
 
-def _theorem_selection(value: str) -> list[TheoremId]:
-    from .audit import TheoremId, _theorem_id
-    return list(TheoremId) if value == "all" else [_theorem_id(value)]
-
-
 def _cmd_audit(args: argparse.Namespace) -> int:
     if (args.file is None) == (not args.random):
         raise GraphError("audit needs exactly one of: an instance file, or --random")
@@ -158,7 +152,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         raise GraphError("--trials must be at least 1 with --random")
     from . import audit  # read audit.audit_theorem when called: a value set there wins
     from .generator import random_instance
-    ids = _theorem_selection(args.theorem)
+    ids = list(audit.TheoremId) if args.theorem == "all" else [audit._theorem_id(args.theorem)]
     if args.file is not None:
         instances: Iterable[HedgeGraph] = [_load(args.file)]
     else:

@@ -27,9 +27,10 @@ vertex no label.  ``_certificate`` builds every certificate; side_a is
 vertex 0's class in the partition the kernel ends with (the splitting
 ``_join`` pass, the winning trial's classes, the sweep's side or the pass
 confirming a small cut), else in ``graph._merge`` of the edges the cut
-keeps.  ``hedge_connectivity`` checks its arguments on entry: the method
-is auto, brute or random, ``cap`` and a trial seed are ints (not bools),
-a trial count None or an int >= 0.
+keeps.  An entry point that takes a method, cap, trial count or seed
+checks it before it reads the graph: the method is auto, brute or random,
+``cap`` and a trial seed are ints (not bools), a trial count None or an
+int >= 0.
 """
 
 from __future__ import annotations
@@ -398,9 +399,9 @@ def randomized_contraction_cut(g: HedgeGraph, seed: int) -> CutCertificate:
     crossing the final vertex groups form the candidate cut; side_a is
     the group of vertex 0.  ``seed`` must be an int (not a bool).
     """
+    _check_int(seed, "trial seed")
     if not _connected(g):
         raise GraphError("contraction trials require a connected graph")
-    _check_int(seed, "trial seed")
     cls = list(range(g.n))
     return _certificate(g, _contraction_trial(g.n, _hedge_forests(g), seed, None, cls), "randomized", False, cls)
 
@@ -445,9 +446,9 @@ def randomized_connectivity(g: HedgeGraph, trials: int | None = None,
     labels, that cut is minimum and the loop ends: at most lambda + 1 greedy
     passes, plus their re-joins.  The answer is still not marked exact.
     """
+    _check_trials(trials, base_seed)
     if not _connected(g):
         raise GraphError("contraction trials require a connected graph")
-    _check_trials(trials, base_seed)
     forests = _hedge_forests(g)
     packing, packed = _packing(g.n, forests), 0
     best: frozenset[int] | None = None

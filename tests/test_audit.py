@@ -2,10 +2,12 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import pickle
 import random
 import re
 import sys
 import tracemalloc
+from enum import Enum
 from pathlib import Path
 
 import pytest
@@ -235,6 +237,26 @@ def test_audit_bytes_pinned(name, mode):
 
 def test_one_claim_row_per_theorem_id_in_catalog_order():
     assert list(hedgecut.audit._CLAIMS) == list(TheoremId)
+
+
+def test_theorem_id_behaves_as_a_str_enum_class():
+    # TheoremId is built from the table's keys; it must act as `class TheoremId(str, Enum)`
+    # did, on every supported CPython (3.12 changed format() of mixed-in members)
+    class _Ref(str, Enum):
+        MEMBER = "MEMBER"
+
+    def as_theorem_id(text, name):
+        return text.replace("_Ref", "TheoremId").replace("MEMBER", name)
+
+    assert TheoremId.__module__ == "hedgecut.audit"
+    for m in TheoremId:
+        assert isinstance(m, str) and m == m.name == m.value
+        assert TheoremId(m.value) is m
+        assert pickle.loads(pickle.dumps(m)) is m
+        assert repr(m) == as_theorem_id(repr(_Ref.MEMBER), m.name)
+        assert str(m) == as_theorem_id(str(_Ref.MEMBER), m.name)
+        assert format(m) == as_theorem_id(format(_Ref.MEMBER), m.name)
+        assert f"{m}" == as_theorem_id(f"{_Ref.MEMBER}", m.name)
 
 
 VIEW_READERS = {TheoremId.T3_DA_LE_TOTAL, TheoremId.RANKSUM_STATIC, TheoremId.NULLSUM_STATIC,
@@ -584,6 +606,20 @@ class TestVerification:
         record = parse_verdict("".join([*lines[:2], "# café\n", *lines[2:]]))
         assert "café" in record.instance_text
         assert verify_certificate(record) is False
+
+    @pytest.mark.parametrize("digest", ["matching", "wrong"])
+    def test_unknown_theorem_id_is_refused_before_any_work(self, digest, p3, monkeypatch):
+        # the id is checked first, so neither the digest nor the parse nor the facts decide
+        v = audit_theorem(TheoremId.VD_EQUALITY, p3)[0]
+        v = dataclasses.replace(v, theorem="NOPE", digest=v.digest if digest == "matching" else "0" * 64)
+        calls = []
+        for name in ("parse", "_Facts"):
+            real = getattr(hedgecut.audit, name)
+            monkeypatch.setattr(hedgecut.audit, name, lambda *args, real=real, name=name, **kwargs:
+                                calls.append(name) or real(*args, **kwargs))
+        with pytest.raises(GraphError, match="^unknown theorem id 'NOPE'$"):
+            verify_certificate(v)
+        assert calls == []
 
     def test_rejects_equal_values_of_another_json_type(self, c4alt, p3):
         # 1.0 and true equal 1 under ==, but format_verdict never prints them for 1

@@ -474,6 +474,26 @@ def test_unknown_method_is_refused_before_the_graph_is_read(route, request, monk
     assert calls == []
 
 
+@pytest.mark.parametrize("route", ["single_vertex", "disconnected"])
+@pytest.mark.parametrize("call, message", [
+    (lambda g: randomized_connectivity(g, -1), "trial count must be a nonnegative int, not -1"),
+    (lambda g: randomized_connectivity(g, 2.0), "trial count must be a nonnegative int, not 2.0"),
+    (lambda g: randomized_connectivity(g, 8, 1.5), "trial seed must be an int, not 1.5"),
+    (lambda g: randomized_connectivity(g, None, True), "trial seed must be an int, not True"),
+    (lambda g: randomized_contraction_cut(g, 1.5), "trial seed must be an int, not 1.5"),
+    (lambda g: randomized_contraction_cut(g, True), "trial seed must be an int, not True"),
+], ids=["count_negative", "count_float", "seed_float", "seed_bool", "one_trial_float", "one_trial_bool"])
+def test_trial_arguments_are_refused_before_the_graph_is_read(route, call, message, request, monkeypatch):
+    # like hedge_connectivity's: a graph no trial can run on does not hide a bad argument
+    g = build_graph(1, []) if route == "single_vertex" else request.getfixturevalue(route)
+    calls = []
+    monkeypatch.setattr(connectivity, "is_connected", lambda g: calls.append(g))
+    monkeypatch.setattr(connectivity, "_proven", None)
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        call(g)
+    assert calls == []
+
+
 def _reference_trial(n, forests, seed):
     """The contraction trial as it was before hedges joining every class were retired:
     every step rebuilds each label whose stored length fails the bound and lists the

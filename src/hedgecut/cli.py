@@ -56,6 +56,10 @@ def _seed(args: argparse.Namespace) -> int:
         raise GraphError("HEDGECUT_SEED must be an integer") from None
 
 
+# each --params key and the GeneratorParams field its range sets
+_PARAM_FIELDS = {"n": "n_range", "extra": "extra_range", "m": "extra_range", "L": "label_range"}
+
+
 def _parse_params(ranges: str | None, seed: int) -> GeneratorParams:
     """Parse 'n=2..8,extra=0..3,L=1..5' (m is accepted for extra)."""
     from .generator import GeneratorParams
@@ -73,14 +77,9 @@ def _parse_params(ranges: str | None, seed: int) -> GeneratorParams:
         except ValueError:
             raise GraphError(f"params entry {part!r} has a non-integer bound") from None
         key = key.strip()
-        if key == "n":
-            params = replace(params, n_range=(lo, hi))
-        elif key in ("extra", "m"):
-            params = replace(params, extra_range=(lo, hi))
-        elif key == "L":
-            params = replace(params, label_range=(lo, hi))
-        else:
+        if key not in _PARAM_FIELDS:
             raise GraphError(f"unknown params key {key!r} (expected n, extra/m or L)")
+        params = replace(params, **{_PARAM_FIELDS[key]: (lo, hi)})
     return params
 
 

@@ -86,17 +86,15 @@ def _walk(text: str) -> HedgeGraph:
     ``build_graph`` checks the graph rules; a fault in one edge is
     reported at that edge's line, any other at the header's.
     """
-    header: tuple[int, int] | None = None
-    header_line = 0
+    header: tuple[int, int, int] | None = None  # n, m and the header's line
     edges: list[tuple[int, int, str]] = []
     edge_lines: list[int] = []
     # not splitlines(): it also breaks at \v, \f, \x1c-\x1e, \x85 and a bare \r
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
         if header is None:
-            parts = line.split()
             if len(parts) != 3 or parts[0] != "HG1":
                 raise ParseError(lineno, "expected header 'HG1 <n> <m>'")
             n, m = _decimals(parts[1], parts[2], lineno, "header counts")
@@ -104,10 +102,8 @@ def _walk(text: str) -> HedgeGraph:
                 raise ParseError(lineno, "header counts out of range")
             if n > _MAX_VERTICES:  # before anything is allocated per vertex
                 raise ParseError(lineno, f"header vertex count exceeds the limit of {_MAX_VERTICES}")
-            header = (n, m)
-            header_line = lineno
+            header = (n, m, lineno)
             continue
-        parts = line.split()
         if len(parts) != 3:
             raise ParseError(lineno, "expected 'u v label'")
         u, v = _decimals(parts[0], parts[1], lineno, "vertex ids")
@@ -117,14 +113,13 @@ def _walk(text: str) -> HedgeGraph:
             raise ParseError(lineno, f"more than {header[1]} data lines")
     if header is None:
         raise ParseError(1, "missing 'HG1 <n> <m>' header")
-    n, m = header
+    n, m, line = header
     if len(edges) != m:
-        raise ParseError(header_line, f"header declares {m} edges, found {len(edges)}")
+        raise ParseError(line, f"header declares {m} edges, found {len(edges)}")
     try:
         return build_graph(n, edges)
     except GraphError as exc:
-        line = header_line if exc.edge is None else edge_lines[exc.edge]
-        raise ParseError(line, str(exc)) from None
+        raise ParseError(line if exc.edge is None else edge_lines[exc.edge], str(exc)) from None
 
 
 def emit(g: HedgeGraph) -> str:

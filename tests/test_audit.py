@@ -235,10 +235,6 @@ def test_audit_bytes_pinned(name, mode):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == AUDIT_BYTES[name, mode]
 
 
-def test_one_claim_row_per_theorem_id_in_catalog_order():
-    assert list(hedgecut.audit._CLAIMS) == list(TheoremId)
-
-
 def test_theorem_id_behaves_as_a_str_enum_class():
     # TheoremId is built from the table's keys; it must act as `class TheoremId(str, Enum)`
     # did, on every supported CPython (3.12 changed format() of mixed-in members)
@@ -322,6 +318,19 @@ def _order_cases():
     assert {g.num_labels <= 8 for g in graphs} == {True, False}
     assert len(graphs) > 10 and any(len({frozenset(e[:2]) for e in h.edges}) < h.m for h in graphs[10:])
     return graphs
+
+
+@pytest.mark.parametrize("labels, header", [
+    (8, 'verdict theorem=T2_RELABEL_GE_MAXDEG holds=true lhs=8 rhs=8 witness={"greedy_q":8,"optimal_q":8} '
+        'digest=98c6d34e1dd3b00d4318db54cd0c7775f9740d025b502cd5d4c71d5667c695c3'),
+    (9, 'verdict theorem=T2_RELABEL_GE_MAXDEG holds=true lhs=9 rhs=9 witness={"greedy_q":9,"optimal_q":null} '
+        'digest=e86d6fc605e93f6c02c948bb1615faa68bd55a26509f4e5507d155ab7fefa160'),
+], ids=["8-labels", "9-labels"])
+def test_relabel_verdict_on_each_side_of_the_chromatic_cutoff(labels, header):
+    # the optimal relabeling is computed for at most 8 labels and recorded as null above
+    star = build_graph(labels + 1, [(0, leaf, f"l{leaf}") for leaf in range(1, labels + 1)])
+    [v] = audit_theorem(TheoremId.T2_RELABEL_GE_MAXDEG, star)
+    assert format_verdict(v) == f"{header}\ninstance-begin\n{emit(star)}instance-end\n"
 
 
 def test_claim_order_does_not_change_a_verdict():
@@ -510,6 +519,11 @@ class TestVerdictRecords:
             with pytest.raises(ParseError, match=fragment) as info:
                 parse_verdict(text)
             assert info.value.line == line
+
+    def test_empty_instance_block_parses(self):
+        text = ("verdict theorem=VD_EQUALITY holds=true lhs=1 rhs=1 witness=null digest=x\n"
+                "instance-begin\ninstance-end\n")
+        assert parse_verdict(text).instance_text == "\n"
 
     def test_too_deep_json_is_a_parse_error(self):
         lhs = "[" * 100_000  # json.loads recurses once per level

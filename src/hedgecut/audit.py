@@ -34,12 +34,17 @@ applies both itself (it drops loop edges before ``graph._vertex_label_sets``
 counts), so the package's one label-degree helper has one convention.
 ``audit_theorem``, ``search_counterexample`` and ``verify_certificate``
 check the theorem id (``_theorem_id``) before any other work.
+
+``parse_verdict`` reads a record in the form ``format_verdict`` writes in one
+pass (one match of the header, each value read and written back), and any other
+text line by line, the one source of its ``ParseError`` messages and lines.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import permutations
@@ -359,8 +364,53 @@ def parse_verdict(text: str) -> AuditVerdict:
     """Inverse of format_verdict; raises ParseError on malformed records.
 
     The header must be the one format_verdict writes for the decoded values:
-    same field order, single spaces, compact JSON with sorted keys.
+    same field order, single spaces, compact JSON with sorted keys.  A record
+    in that form takes one pass (``_bulk``); any other text, and any that
+    ``_bulk`` declines, takes the line walk (``_walk``).
     """
+    v = _bulk(text)
+    return _walk(text) if v is None else v
+
+
+# the header _header writes, then "instance-begin": theorem, holds, lhs, rhs,
+# witness, digest; every token is printable ASCII, none of which str.split() splits at
+_VERDICT = (r"verdict theorem=([!-~]+) holds=(true|false) lhs=([!-~]+) rhs=([!-~]+) "
+            r"witness=([!-~]+) digest=([!-~]*)\ninstance-begin\n")
+
+# json.loads checks its argument's type and skips whitespace around the value; a token has none
+_decode = json.JSONDecoder().raw_decode
+
+
+def _read(token: str) -> Any:
+    """A value token as ``_value`` writes it, else ValueError (an int past 4,300 digits, too)."""
+    # text the decoder leaves after the value makes the token longer than _value writes it
+    value = _decode(token)[0]
+    if _value(value) != token:
+        raise ValueError(token)
+    return value
+
+
+def _bulk(text: str) -> AuditVerdict | None:
+    """The verdict of a record in the form format_verdict writes, else None: the walk names the fault."""
+    match = re.match(_VERDICT, text)  # not compiled at import: re caches it on first use
+    if match is None:
+        return None
+    start = match.end()
+    # the first line "instance-end", from the line feed that ends "instance-begin"; an
+    # empty block ends there, and its slice is empty
+    end = text.find("\ninstance-end\n", start - 1)
+    if end < 0:
+        return None
+    try:  # a GraphError is a ValueError; RecursionError: nesting too deep to decode
+        theorem = _theorem_id(match[1])
+        lhs, rhs, witness = map(_read, match.group(3, 4, 5))
+    except (ValueError, RecursionError):
+        return None
+    return AuditVerdict(theorem, text[start:end] + "\n", match[6], match[2] == "true", lhs, rhs, witness)
+
+
+def _walk(text: str) -> AuditVerdict:
+    """Read a record line by line: the one source of ``ParseError`` messages and lines."""
     lines = text.split("\n")  # as in HG1 text, only "\n" ends a line
     if not lines[0].startswith("verdict "):
         raise ParseError(1, "expected a 'verdict ...' header line")
@@ -385,7 +435,8 @@ def parse_verdict(text: str) -> AuditVerdict:
         lhs = json.loads(fields["lhs"])
         rhs = json.loads(fields["rhs"])
         witness = json.loads(fields["witness"])
-    except (json.JSONDecodeError, RecursionError):  # RecursionError: nesting too deep to decode
+    # ValueError: a JSONDecodeError, or an int past 4,300 digits; RecursionError: nesting too deep
+    except (ValueError, RecursionError):
         raise ParseError(1, "lhs/rhs/witness must be valid JSON") from None
     holds = fields["holds"] == "true"
     if _header(theorem, holds, lhs, rhs, witness, fields["digest"]) != lines[0]:

@@ -532,6 +532,17 @@ class TestVerdictRecords:
             parse_verdict(text)
         assert info.value.line == 1
 
+    # int() refuses more than 4,300 digits with a ValueError, alone or inside JSON
+    @pytest.mark.parametrize("lhs, witness", [("9" * 5000, "null"), ("1", '{"q":' + "9" * 5000 + "}")],
+                             ids=["lhs", "witness"])
+    def test_over_long_number_is_a_parse_error(self, lhs, witness):
+        text = (f"verdict theorem=VD_EQUALITY holds=true lhs={lhs} rhs=1 witness={witness} digest=x\n"
+                "instance-begin\nHG1 2 1\n0 1 a\ninstance-end\n")
+        assert hedgecut.audit._bulk(text) is None
+        with pytest.raises(ParseError, match="^line 1: lhs/rhs/witness must be valid JSON$") as info:
+            parse_verdict(text)
+        assert info.value.line == 1
+
     def test_repeated_field_is_a_parse_error(self, p3):
         text = format_verdict(audit_theorem(TheoremId.VD_EQUALITY, p3)[0])
         header, rest = text.split("\n", 1)
